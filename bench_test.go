@@ -386,44 +386,32 @@ func BenchmarkE7AttestationCache(b *testing.B) {
 	})
 }
 
-// BenchmarkE8BatchedAttestation sweeps the Merkle-batching window width on
-// the cold query path: each iteration fires `width` concurrent cold
-// queries (fresh request IDs, so the attestation cache never helps) with
-// the driver's window sized to flush exactly when all of them are pending.
-// Every attestor signs once per window regardless of width, so the
-// reported ns/query falls as the window fills while the single-signature
-// ablation (window-1) pays one ECDSA signature per attestor per query.
-// Each client still verifies its own leaf + inclusion proof end to end.
+// BenchmarkE8BatchedAttestation sweeps the burst width on the cold query
+// path: each iteration fires `width` concurrent cold queries (fresh request
+// IDs, so the attestation cache never helps) at the group-committing
+// driver. The first query of a burst builds alone; the rest queue behind
+// its build and share one signature per attestor per batch. signs/query is
+// read from the relay's own crypto-op counters, so it reports how many
+// queries each build actually coalesced; width-1 is the single-signature
+// path. Each client still verifies its own proof end to end.
 func BenchmarkE8BatchedAttestation(b *testing.B) {
 	w, actors := tradeWorld(b)
 	client := actors.SWTSeller.Client()
 	for _, width := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("window-%d", width), func(b *testing.B) {
-			// maxPending = width: the window flushes the instant the last
-			// concurrent query arrives, so the sweep measures batching, not
-			// the timer (the generous 50ms window is a straggler backstop,
-			// never the steady state). window-1 degenerates to the
-			// single-signature path.
-			w.STL.Driver.ConfigureAttestationBatching(50*time.Millisecond, width)
-			defer w.STL.Driver.ConfigureAttestationBatching(0, 0)
+		b.Run(fmt.Sprintf("width-%d", width), func(b *testing.B) {
+			before := w.STL.Relay.Stats()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var wg sync.WaitGroup
 				errs := make([]error, width)
-				sizes := make([]uint64, width)
 				for q := 0; q < width; q++ {
 					wg.Add(1)
 					go func(q int) {
 						defer wg.Done()
 						spec := blQuerySpec("po-1001")
 						spec.RequestID = fmt.Sprintf("bench-e8-%d", coldQueryID.Add(1))
-						data, err := client.RemoteQuery(ctx, spec)
-						if err != nil {
-							errs[q] = err
-							return
-						}
-						sizes[q] = data.Bundle.Elements[0].BatchSize
+						_, errs[q] = client.RemoteQuery(ctx, spec)
 					}(q)
 				}
 				wg.Wait()
@@ -431,43 +419,38 @@ func BenchmarkE8BatchedAttestation(b *testing.B) {
 					if errs[q] != nil {
 						b.Fatal(errs[q])
 					}
-					if width > 1 && sizes[q] < 2 {
-						b.Fatalf("query %d served un-batched (batch size %d) at width %d", q, sizes[q], width)
-					}
 				}
 			}
 			b.StopTimer()
+			ops := w.STL.Relay.Stats().Sub(before)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/query")
+			b.ReportMetric(float64(ops.SignOps)/float64(b.N*width), "signs/query")
 		})
 	}
 }
 
 // BenchmarkE9SessionedECIES measures ECIES amortization on the batched
-// cold-query path. Each iteration fires `width` concurrent cold queries
-// through one Merkle window (as in E8) and the sweep compares three
-// encryption regimes on the same driver:
+// cold-query path. Each iteration fires a burst of `width` concurrent cold
+// queries at the group-committing driver (as in E8) and the sweep compares
+// three encryption regimes on the same driver:
 //
 //   - classic: sessioned mode off — every envelope pays a fresh ephemeral
 //     keygen plus ECDH agreement, attestors+1 per query.
-//   - session-cold: the session pool is replaced before every window, so
-//     each window starts with no cached secrets: (attestors+1) agreements
-//     per window, amortized to (attestors+1)/width per query.
+//   - session-cold: the session pool is replaced before every burst, so
+//     each burst starts with no cached secrets: (attestors+1) agreements
+//     per burst, amortized to (attestors+1)/width per query.
 //   - session-warm: one long-lived pool — the warm-poller steady state,
-//     where every window after the first seals under cached secrets and
+//     where every burst after the first seals under cached secrets and
 //     ECDH per query goes to ~0.
 //
-// ecdh/query is measured from the driver's own crypto-op counters, not
-// modeled.
+// ecdh/query and signs/query are measured from the relay's own crypto-op
+// counters, not modeled.
 func BenchmarkE9SessionedECIES(b *testing.B) {
 	w, actors := tradeWorld(b)
 	client := actors.SWTSeller.Client()
 	for _, width := range []int{8, 64} {
 		for _, mode := range []string{"classic", "session-cold", "session-warm"} {
-			b.Run(fmt.Sprintf("window-%d/%s", width, mode), func(b *testing.B) {
-				// maxPending = width: windows flush when full, the 50ms
-				// timer is only a straggler backstop (see E8).
-				w.STL.Driver.ConfigureAttestationBatching(50*time.Millisecond, width)
-				defer w.STL.Driver.ConfigureAttestationBatching(0, 0)
+			b.Run(fmt.Sprintf("width-%d/%s", width, mode), func(b *testing.B) {
 				switch mode {
 				case "classic":
 					w.STL.Driver.ConfigureSessionedECIES(0)
@@ -476,7 +459,7 @@ func BenchmarkE9SessionedECIES(b *testing.B) {
 				}
 				defer w.STL.Driver.ConfigureSessionedECIES(cryptoutil.DefaultSessionTTL)
 
-				runWindow := func() {
+				runBurst := func() {
 					var wg sync.WaitGroup
 					errs := make([]error, width)
 					for q := 0; q < width; q++ {
@@ -498,23 +481,24 @@ func BenchmarkE9SessionedECIES(b *testing.B) {
 				if mode == "session-warm" {
 					// Pay the one-time agreements outside the measurement:
 					// the steady state being measured is the warm poller.
-					runWindow()
+					runBurst()
 				}
-				ecdhBefore, _, _ := w.STL.Driver.CryptoOps()
+				before := w.STL.Relay.Stats()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if mode == "session-cold" {
 						// A fresh pool discards every cached secret: this
-						// window is the first one its requesters ever hit.
+						// burst is the first one its requesters ever hit.
 						w.STL.Driver.ConfigureSessionedECIES(time.Hour)
 					}
-					runWindow()
+					runBurst()
 				}
 				b.StopTimer()
-				ecdhAfter, _, _ := w.STL.Driver.CryptoOps()
+				ops := w.STL.Relay.Stats().Sub(before)
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/query")
-				b.ReportMetric(float64(ecdhAfter-ecdhBefore)/float64(b.N*width), "ecdh/query")
+				b.ReportMetric(float64(ops.ECDHOps)/float64(b.N*width), "ecdh/query")
+				b.ReportMetric(float64(ops.SignOps)/float64(b.N*width), "signs/query")
 			})
 		}
 	}

@@ -41,8 +41,6 @@ func runLoadgen(args []string) error {
 	pipelined := fs.Bool("pipelined", false, "pipelined orderer batching on both networks")
 	batchSize := fs.Int("batch-size", 0, "orderer batch size with -pipelined (0 = orderer default)")
 	committers := fs.Int("committers", 0, "committer workers per peer (<=1 = serial committer)")
-	attestWindow := fs.Duration("attest-batch-window", 0, "Merkle-batched attestation window on source relays (0 = per-query signatures)")
-	attestMax := fs.Int("attest-batch-max", 0, "flush a batching window early at this many pending queries (0 = default 32)")
 	attestOff := fs.Bool("attest-batch-off", false, "disable attestation batching on every relay (per-query signatures)")
 	baseline := fs.String("baseline", "", "prior report to diff p50/p99 against (warn-only, never fails the run)")
 	out := fs.String("out", loadgen.DefaultOutput, "report output path")
@@ -104,10 +102,6 @@ func runLoadgen(args []string) error {
 			cfg.BatchSize = *batchSize
 		case "committers":
 			cfg.CommitterWorkers = *committers
-		case "attest-batch-window":
-			cfg.AttestBatchWindow = *attestWindow
-		case "attest-batch-max":
-			cfg.AttestBatchMax = *attestMax
 		case "attest-batch-off":
 			cfg.AttestBatchOff = *attestOff
 		}

@@ -23,6 +23,11 @@
 // exactly-once machinery is exercised across relay instances in the
 // scenario tests.)
 //
+// The relay's driver group-commits attestation without any flag: a query
+// that finds no proof build in flight is attested at once, and concurrent
+// cold queries arriving during a build share one Merkle-root signature per
+// attestor in the next batch.
+//
 // Usage:
 //
 //	relayd -listen 127.0.0.1:9080 -dir ./deploy

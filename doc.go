@@ -83,15 +83,15 @@
 // chaincodes leave it warm.
 // Stats.AttestationCacheHits/Joins/Misses expose its effectiveness and
 // `netadmin proofs show` dumps a persisted artifact. Concurrent distinct
-// queries are amortized by Merkle-batched attestation
-// (relay.FabricDriver.ConfigureAttestationBatching, armed by default by
-// the scenario builders): cold queries that
-// announce the capability (wire.Query.AcceptBatched) share a short window,
-// each attestor signs one RFC 6962-shaped Merkle root per window under a
-// dedicated domain separator, and every requester verifies its own leaf +
-// inclusion proof (proof.Element.BatchSize/BatchIndex/BatchPath) — lone
-// queries and legacy requesters fall back to the single-signature path,
-// and batched invokes persist their batched Sealed artifact so the replay
+// queries are amortized by Merkle-batched attestation, group-committed by
+// every relay.FabricDriver: a cold query that announces the capability
+// (wire.Query.AcceptBatched) builds at once when no build is in flight for
+// its attestor set, and queries arriving during a build form the next
+// batch. Each attestor signs one RFC 6962-shaped Merkle root per batch
+// under a dedicated domain separator, and every requester verifies its own
+// leaf + inclusion proof (proof.Element.BatchSize/BatchIndex/BatchPath) —
+// batches of one and legacy requesters take the single-signature path, and
+// batched invokes persist their batched Sealed artifact so the replay
 // guarantee covers inclusion proofs too. The encryption half is amortized
 // by sessioned ECIES (cryptoutil.SessionManager, proof.SessionPool):
 // requesters announcing wire.Query.AcceptSessioned get envelopes sealed
@@ -101,7 +101,7 @@
 // carried in explicit wire fields (Attestation.SessionEphemeral) — warm
 // pollers pay zero scalar multiplications per query, legacy requesters
 // keep byte-identical classic ECIES, and the driver's leaf-addressed
-// element records let a repeated question join an earlier window's proof,
+// element records let a repeated question join an earlier batch's proof,
 // reusing every signature. relay.Stats.ECDHOps/SignOps/EncryptOps count
 // the expensive primitives fleet-wide.
 //

@@ -120,10 +120,6 @@ func BuildTCP(extraSTLRelays int, tune ...fabric.Tuning) (*TCPDeployment, error)
 	for i := 0; i < extraSTLRelays; i++ {
 		extra := relay.New(tradelens.NetworkID, registry, transport)
 		driver := relay.NewFabricDriver(w.STL.Fabric, "default")
-		// Redundant relays run the same default batching plan as the
-		// primary; DisableAttestationBatching only covers the networks'
-		// own drivers, so load runners flip these per server instead.
-		driver.ConfigureAttestationBatching(DefaultAttestBatchWindow, DefaultAttestBatchMax)
 		extra.RegisterDriver(tradelens.NetworkID, driver)
 		srv, err := newTCPRelayServer(tradelens.NetworkID, extra)
 		if err != nil {

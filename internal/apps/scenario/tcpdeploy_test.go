@@ -3,10 +3,7 @@ package scenario
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/apps/tradelens"
 	"repro/internal/apps/wetrade"
@@ -125,68 +122,5 @@ func TestBuildTCPInvokeExactlyOnce(t *testing.T) {
 	valid, _ := committedInvokes(t, w, invokeTxID("tcp-eo-1", client.Identity().CertPEM()))
 	if valid != 1 {
 		t.Fatalf("ledger holds %d valid commits, want exactly 1", valid)
-	}
-}
-
-// TestBuildTCPBatchedAttestation drives the Merkle-batching window over the
-// real TCP deployment: three concurrent cold queries through the primary
-// STL relay share one attestation window, and every client's independent
-// proof verification accepts its leaf + inclusion proof end to end.
-func TestBuildTCPBatchedAttestation(t *testing.T) {
-	const width = 3
-	d, err := BuildTCP(0)
-	if err != nil {
-		t.Fatalf("BuildTCP: %v", err)
-	}
-	defer d.Close()
-	w := d.World
-	if d.STLServers[0].Driver == nil {
-		t.Fatal("primary STL server carries no driver handle")
-	}
-	d.STLServers[0].Driver.ConfigureAttestationBatching(time.Second, width)
-
-	actors, err := w.NewActors()
-	if err != nil {
-		t.Fatalf("NewActors: %v", err)
-	}
-	ctx := context.Background()
-	refs := make([]string, width)
-	for i := range refs {
-		refs[i] = fmt.Sprintf("po-batch-%d", i)
-	}
-	if err := SeedShipments(ctx, actors, refs...); err != nil {
-		t.Fatalf("SeedShipments: %v", err)
-	}
-	client, err := core.NewClient(w.SWT, wetrade.SellerBankOrg, "tcp-batch-client")
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-
-	results := make([]*core.RemoteData, width)
-	errs := make([]error, width)
-	var wg sync.WaitGroup
-	for i := 0; i < width; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = client.RemoteQuery(ctx, core.RemoteQuerySpec{
-				Network: tradelens.NetworkID, Contract: tradelens.ChaincodeName,
-				Function: tradelens.FnGetBillOfLading, Args: [][]byte{[]byte(refs[i])},
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < width; i++ {
-		if errs[i] != nil {
-			t.Fatalf("RemoteQuery %d over TCP: %v", i, errs[i])
-		}
-		if !bytes.Contains(results[i].Result, []byte(refs[i])) {
-			t.Fatalf("result %d = %q", i, results[i].Result)
-		}
-		for _, el := range results[i].Bundle.Elements {
-			if el.BatchSize != width {
-				t.Fatalf("query %d element batch size = %d, want %d", i, el.BatchSize, width)
-			}
-		}
 	}
 }

@@ -5,34 +5,35 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/msp"
 	"repro/internal/proof"
 	"repro/internal/wire"
 )
 
-// attestBatcher accumulates concurrent proof builds into short windows so
-// one ECDSA signature per attestor covers a whole window of distinct
-// queries (proof.BuildBatch). A window opens when the first query arrives
-// and closes after the configured duration or when maxPending queries are
-// waiting, whichever comes first — so a lone query pays at most the window
-// in added latency and then falls through to the ordinary single-signature
-// build, while a burst of concurrent distinct queries collapses to one
-// signature per attestor. Windows are grouped by attestor set: every spec
-// handed to one BuildBatch call must be attested by the same identities.
+// attestBatcher group-commits concurrent proof builds so one ECDSA
+// signature per attestor covers a whole batch of distinct queries
+// (proof.BuildBatch). A query that finds no build in flight for its
+// attestor set builds at once, alone, on the caller's goroutine — a lone
+// query pays no added latency and its bytes are those of the ordinary
+// single-signature build. Queries arriving while that build runs queue up
+// and become the next batch, built as soon as the current one finishes, so
+// a burst collapses to one signature per attestor per build. Batches are
+// grouped by attestor set: every spec handed to one build must be attested
+// by the same identities.
 type attestBatcher struct {
-	window     time.Duration
-	maxPending int
+	// build signs one batch; proof.BuildBatch outside tests.
+	build func(ctx context.Context, specs []proof.Spec, attestors []*msp.Identity) ([]*wire.QueryResponse, error)
 
-	mu     sync.Mutex
-	groups map[string]*batchGroup
+	mu sync.Mutex
+	// groups holds one entry per attestor set with a build in flight; its
+	// value is the batch queued behind that build.
+	groups map[string]*nextBatch
 }
 
-type batchGroup struct {
+type nextBatch struct {
 	attestors []*msp.Identity
 	entries   []*batchEntry
-	timer     *time.Timer
 }
 
 type batchEntry struct {
@@ -42,15 +43,11 @@ type batchEntry struct {
 	err  error
 }
 
-func newAttestBatcher(window time.Duration, maxPending int) *attestBatcher {
-	return &attestBatcher{
-		window:     window,
-		maxPending: maxPending,
-		groups:     map[string]*batchGroup{},
-	}
+func newAttestBatcher() *attestBatcher {
+	return &attestBatcher{build: proof.BuildBatch, groups: map[string]*nextBatch{}}
 }
 
-// attestorSetKey names a window group: the sorted attestor identities.
+// attestorSetKey names a batch group: the sorted attestor identities.
 func attestorSetKey(ids []*msp.Identity) string {
 	names := make([]string, len(ids))
 	for i, id := range ids {
@@ -60,62 +57,64 @@ func attestorSetKey(ids []*msp.Identity) string {
 	return strings.Join(names, ",")
 }
 
-// submit enrolls one proof build in the current window for its attestor
-// set and blocks until the window flushes (or ctx expires). The build
-// itself runs on whichever goroutine closes the window — the timer's for a
-// window that filled slowly, the maxPending-th submitter's for one that
-// filled fast.
+// submit builds spec's proof: at once when no build is in flight for its
+// attestor set, otherwise in the batch queued behind that build, waiting
+// for it (or for ctx to expire).
 func (b *attestBatcher) submit(ctx context.Context, spec proof.Spec, attestors []*msp.Identity) (*wire.QueryResponse, error) {
 	entry := &batchEntry{spec: spec, done: make(chan struct{})}
 	key := attestorSetKey(attestors)
 
 	b.mu.Lock()
-	g := b.groups[key]
-	if g == nil {
-		g = &batchGroup{attestors: attestors}
-		b.groups[key] = g
-		g.timer = time.AfterFunc(b.window, func() { b.flush(key, g) })
+	if next, busy := b.groups[key]; busy {
+		if len(next.entries) == 0 {
+			next.attestors = attestors
+		}
+		next.entries = append(next.entries, entry)
+		b.mu.Unlock()
+		select {
+		case <-entry.done:
+			return entry.resp, entry.err
+		case <-ctx.Done():
+			// The queued batch still builds this entry's proof —
+			// cancelling one requester must not fail the rest of the
+			// batch — but this requester stops waiting for it.
+			return nil, ctx.Err()
+		}
 	}
-	g.entries = append(g.entries, entry)
-	full := len(g.entries) >= b.maxPending
+	b.groups[key] = &nextBatch{}
 	b.mu.Unlock()
 
-	if full {
-		b.flush(key, g)
-	}
-
-	select {
-	case <-entry.done:
-		return entry.resp, entry.err
-	case <-ctx.Done():
-		// The window still builds this entry's proof — cancelling one
-		// requester must not fail the rest of the batch — but this
-		// requester stops waiting for it.
-		return nil, ctx.Err()
-	}
+	b.run(key, attestors, []*batchEntry{entry})
+	return entry.resp, entry.err
 }
 
-// flush closes a window and builds its proofs. Exactly one caller wins the
-// removal of the group from the map (the timer and a filling submitter can
-// race); the loser finds the group already gone and returns.
-func (b *attestBatcher) flush(key string, g *batchGroup) {
-	b.mu.Lock()
-	if b.groups[key] != g {
-		b.mu.Unlock()
-		return
-	}
-	delete(b.groups, key)
-	g.timer.Stop()
-	entries := g.entries
-	b.mu.Unlock()
-
+// run builds one batch, hands the batch that queued behind it to a fresh
+// goroutine — or retires the group when nothing queued — and then delivers
+// its results, so the caller, whose own proof is ready, returns at once.
+// Handing off first starts the next build sooner and means that once the
+// last entry has its answer, its group is already retired. At most one run
+// is in flight per attestor set, and each ends after its own build.
+func (b *attestBatcher) run(key string, attestors []*msp.Identity, entries []*batchEntry) {
 	specs := make([]proof.Spec, len(entries))
 	for i, e := range entries {
 		specs[i] = e.spec
 	}
-	// Background context: the window's build serves every waiter, so no
-	// single requester's cancellation may abort it.
-	resps, err := proof.BuildBatch(context.Background(), specs, g.attestors)
+	// Background context: the build serves every entry of the batch, so
+	// no single requester's cancellation may abort it.
+	resps, err := b.build(context.Background(), specs, attestors)
+
+	b.mu.Lock()
+	next := b.groups[key]
+	if len(next.entries) == 0 {
+		delete(b.groups, key)
+	} else {
+		b.groups[key] = &nextBatch{}
+	}
+	b.mu.Unlock()
+	if len(next.entries) > 0 {
+		go b.run(key, next.attestors, next.entries)
+	}
+
 	for i, e := range entries {
 		if err != nil {
 			e.err = err

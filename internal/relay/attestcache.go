@@ -130,7 +130,7 @@ func attestCacheKey(queryDigest, policyDigest, resultDigest, requesterCertDigest
 // the same content binding as attestCacheKey minus the requester — the
 // stored record holds plaintext metadata and signatures, both requester-
 // independent, so any requester presenting the identical question can have
-// the elements re-encrypted to it (joining the original window's proof).
+// the elements re-encrypted to it (joining the original batch's proof).
 // The domain prefix keeps element records and full responses from ever
 // colliding in the shared cache.
 func elemCacheKey(queryDigest, policyDigest, resultDigest []byte) string {

@@ -54,12 +54,12 @@ type FabricDriver struct {
 	// concurrent queries hold their own reference.
 	cache atomic.Pointer[attestationCache]
 
-	// batcher, when non-nil, collapses concurrent proof builds into
-	// Merkle-batched windows (one signature per attestor per window). Nil
-	// by default: batching trades a bounded latency window for signature
-	// amortization, which is an explicit deployment decision. Only queries
-	// that negotiated the capability (wire.Query.AcceptBatched) are routed
-	// through it.
+	// batcher group-commits concurrent proof builds into Merkle batches
+	// (one signature per attestor per batch). Enabled by default: a query
+	// that finds no build in flight builds at once, so batching costs a
+	// lone query nothing. Only queries that negotiated the capability
+	// (wire.Query.AcceptBatched) are routed through it; nil only in the
+	// per-query-signature ablation.
 	batcher atomic.Pointer[attestBatcher]
 
 	// sessions, when non-nil, amortizes ECIES for requesters that
@@ -67,8 +67,7 @@ type FabricDriver struct {
 	// ephemeral keys rotate on a TTL and per-requester ECDH secrets are
 	// cached per generation, so warm pollers skip the variable-base
 	// multiply entirely. Enabled by default — legacy requesters are
-	// unaffected (they keep byte-identical classic ECIES), so unlike
-	// batching there is no latency trade to opt into.
+	// unaffected (they keep byte-identical classic ECIES).
 	sessions atomic.Pointer[proof.SessionPool]
 
 	// cryptoOps counts the ECDH agreements, signatures and envelope
@@ -153,6 +152,7 @@ func NewFabricDriver(net *fabric.Network, ledgerName string) *FabricDriver {
 	d := &FabricDriver{net: net, ledgerName: ledgerName}
 	d.cache.Store(newAttestationCache(defaultAttestCacheSize, defaultAttestCacheTTL, time.Now))
 	d.sessions.Store(proof.NewSessionPool(cryptoutil.DefaultSessionTTL, &d.cryptoOps))
+	d.batcher.Store(newAttestBatcher())
 	return d
 }
 
@@ -164,19 +164,16 @@ func (d *FabricDriver) ConfigureAttestationCache(max int, ttl time.Duration) {
 	d.cache.Store(newAttestationCache(max, ttl, time.Now))
 }
 
-// ConfigureAttestationBatching enables Merkle-batched attestation: proof
-// builds for queries that accept batching are held for up to window and
-// signed together, one root signature per attestor per window, with each
-// requester handed its leaf's inclusion proof. A window also closes early
-// once maxPending builds are waiting. window <= 0 or maxPending <= 0
-// disables batching (the default). Safe while serving — in-flight builds
+// ConfigureAttestationBatching switches Merkle-batched attestation on
+// (the default) or off. Off, every query pays one signature per attestor:
+// the per-query-signature ablation. Safe while serving — in-flight builds
 // finish against the batcher they started with.
-func (d *FabricDriver) ConfigureAttestationBatching(window time.Duration, maxPending int) {
-	if window <= 0 || maxPending <= 0 {
+func (d *FabricDriver) ConfigureAttestationBatching(on bool) {
+	if !on {
 		d.batcher.Store(nil)
 		return
 	}
-	d.batcher.Store(newAttestBatcher(window, maxPending))
+	d.batcher.Store(newAttestBatcher())
 }
 
 // ConfigureSessionedECIES replaces the sessioned-ECIES pool with one whose
@@ -218,9 +215,9 @@ func (d *FabricDriver) newSpec(q *wire.Query, queryDigest, policyDigest, result 
 	return spec
 }
 
-// buildProof routes one proof build either through the batching window
-// (when batching is configured and the requester negotiated it) or
-// directly through the single-signature builder.
+// buildProof routes one proof build either through the batcher (when
+// batching is on and the requester negotiated it) or directly through the
+// single-signature builder.
 func (d *FabricDriver) buildProof(ctx context.Context, accepted bool, spec proof.Spec, attestors []*msp.Identity) (*wire.QueryResponse, error) {
 	if b := d.batcher.Load(); b != nil && accepted {
 		return b.submit(ctx, spec, attestors)
@@ -343,7 +340,7 @@ func (d *FabricDriver) Query(ctx context.Context, q *wire.Query) (*wire.QueryRes
 	// Leaf-addressed join: when a requester-independent element record for
 	// this exact question (query digest, policy pin, result) is cached —
 	// typically stored when an earlier occurrence was built inside a
-	// batched window — re-encrypt its plaintext elements to this requester
+	// batch — re-encrypt its plaintext elements to this requester
 	// and reuse every signature and inclusion proof. This serves requesters
 	// the response cache cannot: a first-touch key the doorkeeper refused
 	// to admit, or the same requester under a rotated certificate.
@@ -490,28 +487,7 @@ func (d *FabricDriver) Invoke(ctx context.Context, q *wire.Query) (*wire.QueryRe
 			syscc.TransientNonce:             q.Nonce,
 		},
 	}
-	var responses []*peer.ProposalResponse
-	for _, orgID := range endorsePolicy.Orgs() {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("relay: invoke aborted: %w", err)
-		}
-		peers, err := d.net.PeersOf(orgID)
-		if err != nil || len(peers) == 0 {
-			continue
-		}
-		resp, err := peers[0].Endorse(inv)
-		if err != nil {
-			return nil, fmt.Errorf("relay: endorse on %s: %w", peers[0].Name(), err)
-		}
-		responses = append(responses, resp)
-	}
-	if len(responses) == 0 {
-		return nil, ErrNoAttestors
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("relay: invoke aborted before ordering: %w", err)
-	}
-	tx, err := peer.AssembleTransaction(inv, responses)
+	tx, err := d.endorse(ctx, endorsePolicy, inv)
 	if err != nil {
 		return nil, err
 	}
@@ -573,6 +549,52 @@ func InteropTxID(q *wire.Query) string {
 		return ""
 	}
 	return "interop-tx-" + cryptoutil.DigestHex([]byte(key))[:32]
+}
+
+// maxEndorseAttempts bounds how often one invoke is endorsed when its
+// endorsers disagree.
+const maxEndorseAttempts = 4
+
+// endorse collects one endorsement per organization of policy and
+// assembles the transaction. Endorsers disagree (peer.ErrProposalMismatch)
+// when a block has been committed to one of them but not yet to the other
+// — a transient outcome of Fabric's per-peer commit, not a defect — so the
+// proposal is endorsed again after a short backoff, a bounded number of
+// times. ctx is checked before every endorsement and before returning a
+// transaction for ordering.
+func (d *FabricDriver) endorse(ctx context.Context, policy *endorsement.Policy, inv chaincode.Invocation) (*ledger.Transaction, error) {
+	for attempt := 1; ; attempt++ {
+		var responses []*peer.ProposalResponse
+		for _, orgID := range policy.Orgs() {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("relay: invoke aborted: %w", err)
+			}
+			peers, err := d.net.PeersOf(orgID)
+			if err != nil || len(peers) == 0 {
+				continue
+			}
+			resp, err := peers[0].Endorse(inv)
+			if err != nil {
+				return nil, fmt.Errorf("relay: endorse on %s: %w", peers[0].Name(), err)
+			}
+			responses = append(responses, resp)
+		}
+		if len(responses) == 0 {
+			return nil, ErrNoAttestors
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("relay: invoke aborted before ordering: %w", err)
+		}
+		tx, err := peer.AssembleTransaction(inv, responses)
+		if !errors.Is(err, peer.ErrProposalMismatch) || attempt == maxEndorseAttempts {
+			return tx, err
+		}
+		select {
+		case <-ctx.Done():
+			return nil, fmt.Errorf("relay: invoke aborted: %w", ctx.Err())
+		case <-time.After(time.Duration(attempt) * time.Millisecond):
+		}
+	}
 }
 
 // ReplayInvoke implements InvokeReplayer: it recovers the committed outcome
