@@ -1018,20 +1018,24 @@ func BenchmarkP8RemoteQueryBatch(b *testing.B) {
 // BenchmarkP9RegistryAnnounce measures discovery-registry write throughput
 // under the relayd heartbeat pattern: N concurrent announcers (each with
 // its own registry instance, like N relayd processes sharing a deployment
-// directory) renewing leases in a tight loop. The flock registry pays a
-// full load-modify-store cycle per renewal — read the file, decode,
-// mutate, rewrite, rename, all under the exclusive lock — so its cost
-// grows with both contention and registry size. The journal appends one
-// O(1) record under the lock instead (with a background-style compaction
-// amortized in via CompactIfOversized), which is what lets discovery keep
-// up with a heartbeating fleet; the gap widens with announcer count.
+// directory) renewing leases in a tight loop. Each renewal appends one
+// O(1) record to the journal under the cross-process lock, with a
+// background-style compaction amortized in via CompactIfOversized, so the
+// per-renewal cost should stay flat as announcers are added.
 func BenchmarkP9RegistryAnnounce(b *testing.B) {
 	const ttl = time.Minute
-	run := func(b *testing.B, open func(dir string, id int) relay.LeaseRegistrar, announcers int) {
+	run := func(b *testing.B, announcers int) {
 		dir := b.TempDir()
 		regs := make([]relay.LeaseRegistrar, announcers)
 		for i := range regs {
-			regs[i] = open(dir, i)
+			reg := relay.NewJournalRegistry(filepath.Join(dir, "registry.jsonl"))
+			regs[i] = reg
+			if i == 0 {
+				// One announcer doubles as the compacting process, so the
+				// measured steady state includes the maintenance that
+				// keeps the journal bounded.
+				regs[i] = compactingRegistrar{reg}
+			}
 		}
 		// Pre-register every address so the steady state measures
 		// renewals, the heartbeat hot path.
@@ -1066,28 +1070,14 @@ func BenchmarkP9RegistryAnnounce(b *testing.B) {
 	}
 	for _, announcers := range []int{1, 8, 32} {
 		announcers := announcers
-		b.Run(fmt.Sprintf("flock/announcers-%d", announcers), func(b *testing.B) {
-			run(b, func(dir string, _ int) relay.LeaseRegistrar {
-				return relay.NewFileRegistry(filepath.Join(dir, "registry.json"))
-			}, announcers)
-		})
 		b.Run(fmt.Sprintf("journal/announcers-%d", announcers), func(b *testing.B) {
-			run(b, func(dir string, id int) relay.LeaseRegistrar {
-				reg := relay.NewJournalRegistry(filepath.Join(dir, "registry.jsonl"))
-				if id == 0 {
-					// One announcer doubles as the compacting process, so
-					// the measured steady state includes the maintenance
-					// that keeps the journal bounded.
-					return compactingRegistrar{reg}
-				}
-				return reg
-			}, announcers)
+			run(b, announcers)
 		})
 	}
 }
 
 // compactingRegistrar folds journal compaction into one announcer's
-// renewal loop so the benchmark's journal arm pays its maintenance cost
+// renewal loop so the benchmark pays the journal's maintenance cost
 // in-band rather than appearing artificially append-only-cheap.
 type compactingRegistrar struct {
 	*relay.JournalRegistry

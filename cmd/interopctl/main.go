@@ -3,7 +3,9 @@
 //
 // The query subcommand (also the default) issues a trusted cross-network
 // query against a running relayd (Fig. 2 steps 1-9): it loads the client
-// kit written by relayd, sends the query over TCP through relay discovery,
+// kit written by relayd, resolves the source relays through the
+// deployment's registry journal (registry.jsonl, with a legacy
+// registry.json read as its generation-0 base), sends the query over TCP,
 // decrypts the response, verifies the proof against the recorded source
 // configuration and verification policy, and prints the result with an
 // attestation summary.
@@ -63,8 +65,6 @@ func runQuery(args []string) error {
 	ping := fs.Bool("ping", false, "only probe the source relay for liveness")
 	timeout := fs.Duration("timeout", 30*time.Second, "deadline for the whole operation; propagated to the source relay")
 	hedge := fs.Duration("hedge", 0, "hedge delay before trying the next relay address (0 disables hedging)")
-	format := fs.String("registry", "auto",
-		"registry storage to read: 'auto' (journal when its artifacts exist, flat otherwise), 'journal', or 'flat'")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -76,17 +76,7 @@ func runQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	var registry relay.Registry
-	switch *format {
-	case "auto":
-		registry = relay.DetectRegistry(deploy.JournalPath(*dir), deploy.RegistryPath(*dir))
-	case "journal":
-		registry = relay.NewJournalRegistry(deploy.JournalPath(*dir))
-	case "flat":
-		registry = relay.NewFileRegistry(deploy.RegistryPath(*dir))
-	default:
-		return fmt.Errorf("unknown -registry format %q (expected 'auto', 'journal' or 'flat')", *format)
-	}
+	registry := relay.NewJournalRegistry(deploy.JournalPath(*dir))
 	transport := &relay.TCPTransport{DialTimeout: 5 * time.Second, IOTimeout: 30 * time.Second}
 	var relayOpts []relay.Option
 	if *hedge > 0 {

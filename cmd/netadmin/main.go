@@ -14,12 +14,12 @@
 //	netadmin -dir ./deploy route list       # the relay's static multi-hop routes
 //	netadmin proofs show bundle.bin         # dump a persisted proof bundle
 //
-// The registry subcommands auto-detect the storage format: the append-only
-// journal (registry.jsonl + generation/pointer files) when its artifacts
-// exist, the legacy flat registry.json otherwise. `registry compact`
-// always operates on the journal — run against a flat-file-only deployment
-// it performs the migration, folding registry.json in as the journal's
-// base and writing the first compacted generation.
+// Every command reads the deployment's append-only registry journal
+// (registry.jsonl + generation/pointer files). A legacy flat registry.json
+// is read as the journal's generation-0 base until the first compaction, so
+// a flat-file-only deployment is listed and resolved as it stands; run
+// against such a deployment, `registry compact` performs the migration,
+// folding registry.json into the first compacted generation.
 //
 // proofs show decodes a proof artifact file in either persisted form: the
 // sealed bundle a committed interop transaction carries
@@ -55,14 +55,9 @@ func main() {
 func run() error {
 	dir := flag.String("dir", "./deploy", "deployment directory to inspect")
 	probeTimeout := flag.Duration("probe-timeout", 3*time.Second, "per-address liveness probe deadline")
-	format := flag.String("registry", "auto",
-		"registry storage to read: 'auto' (journal when its artifacts exist, flat otherwise), 'journal', or 'flat'")
 	flag.Parse()
 
-	registry, err := openRegistry(*dir, *format)
-	if err != nil {
-		return err
-	}
+	registry := relay.NewJournalRegistry(deploy.JournalPath(*dir))
 	switch args := flag.Args(); {
 	case len(args) == 0 || (len(args) == 1 && args[0] == "status"):
 		return status(*dir, registry, *probeTimeout)
@@ -71,7 +66,7 @@ func run() error {
 	case len(args) == 2 && args[0] == "registry" && args[1] == "prune":
 		return registryPrune(registry)
 	case len(args) == 2 && args[0] == "registry" && args[1] == "compact":
-		return registryCompact(*dir)
+		return registryCompact(*dir, registry)
 	case len(args) == 2 && args[0] == "route" && args[1] == "list":
 		return routeList(*dir)
 	case len(args) == 3 && args[0] == "proofs" && args[1] == "show":
@@ -83,7 +78,7 @@ func run() error {
 
 // status is the default inspection: resolve and probe every live relay
 // address, then summarize the client kit.
-func status(dir string, registry relay.Registry, probeTimeout time.Duration) error {
+func status(dir string, registry *relay.JournalRegistry, probeTimeout time.Duration) error {
 	networks, err := registry.Networks()
 	if err != nil {
 		return err
@@ -93,7 +88,7 @@ func status(dir string, registry relay.Registry, probeTimeout time.Duration) err
 	transport := &relay.TCPTransport{DialTimeout: 2 * time.Second, IOTimeout: 5 * time.Second}
 	probe := relay.New("netadmin", registry, transport)
 
-	fmt.Printf("registry: %s\n", registryLabel(dir, registry))
+	fmt.Printf("registry: %s (journal)\n", deploy.JournalPath(dir))
 	if len(networks) == 0 {
 		fmt.Println("  (no networks registered)")
 	}
@@ -168,12 +163,12 @@ func routeList(dir string) error {
 }
 
 // registryList prints every entry, expired or not, with its lease state.
-func registryList(dir string, registry relay.Registry) error {
+func registryList(dir string, registry *relay.JournalRegistry) error {
 	entries, err := registry.Entries()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("registry: %s\n", registryLabel(dir, registry))
+	fmt.Printf("registry: %s (journal)\n", deploy.JournalPath(dir))
 	if len(entries) == 0 {
 		fmt.Println("  (no networks registered)")
 		return nil
@@ -284,37 +279,11 @@ func showBundle(b *proof.Bundle) error {
 	return nil
 }
 
-// openRegistry opens the deployment's registry in the requested storage
-// format; 'auto' detects the journal by its artifacts. The explicit forms
-// exist so stale artifacts of the other format can never shadow the store
-// a relayd was actually told to use.
-func openRegistry(dir, format string) (relay.Registry, error) {
-	switch format {
-	case "auto":
-		return relay.DetectRegistry(deploy.JournalPath(dir), deploy.RegistryPath(dir)), nil
-	case "journal":
-		return relay.NewJournalRegistry(deploy.JournalPath(dir)), nil
-	case "flat":
-		return relay.NewFileRegistry(deploy.RegistryPath(dir)), nil
-	default:
-		return nil, fmt.Errorf("unknown -registry format %q (expected 'auto', 'journal' or 'flat')", format)
-	}
-}
-
-// registryLabel names the registry backing a Registry for display.
-func registryLabel(dir string, registry relay.Registry) string {
-	if _, ok := registry.(*relay.JournalRegistry); ok {
-		return deploy.JournalPath(dir) + " (journal)"
-	}
-	return deploy.RegistryPath(dir)
-}
-
 // registryCompact rolls the registry journal into a fresh generation
 // snapshot. Against a deployment that only has a flat registry.json this is
 // the migration: the flat file becomes the journal's base and the first
 // compacted generation is written next to it.
-func registryCompact(dir string) error {
-	journal := relay.NewJournalRegistry(deploy.JournalPath(dir))
+func registryCompact(dir string, journal *relay.JournalRegistry) error {
 	migrating := !relay.JournalPresent(deploy.JournalPath(dir))
 	if err := journal.Compact(); err != nil {
 		return err
@@ -335,7 +304,7 @@ func registryCompact(dir string) error {
 }
 
 // registryPrune drops entries whose lease has lapsed.
-func registryPrune(registry relay.Registry) error {
+func registryPrune(registry *relay.JournalRegistry) error {
 	pruned, err := registry.Prune()
 	if err != nil {
 		return err

@@ -10,9 +10,10 @@
 //
 // Several relayd processes may share one deployment directory: discovery
 // membership lives in an append-only lease journal (registry.jsonl) where
-// every heartbeat is one O(1) appended record, compacted in the background
-// (-registry flat falls back to the flock-serialized flat file; a legacy
-// registry.json is folded in as the journal's base). Each heartbeat also
+// every heartbeat is one O(1) appended record, compacted in the background.
+// A legacy flat registry.json in the directory is read as the journal's
+// generation-0 base when relayd starts; later edits to it are not seen,
+// and the first compaction folds it in for good. Each heartbeat also
 // publishes the relay's health observations, which a starting relayd seeds
 // its tracker from.
 // Note that each process boots its own in-memory demo network and writes
@@ -71,10 +72,8 @@ func run() error {
 	seed := flag.Bool("seed", true, "seed the demo shipment and bill of lading")
 	leaseTTL := flag.Duration("lease-ttl", time.Minute,
 		"discovery lease TTL; the relay re-announces at a third of this and deregisters on shutdown (0 = permanent entry)")
-	registryFormat := flag.String("registry", "journal",
-		"registry storage: 'journal' (append-only lease journal, O(1) heartbeats, background compaction; reads a legacy registry.json as its base) or 'flat' (flock-serialized registry.json)")
 	compactInterval := flag.Duration("compact-interval", 30*time.Second,
-		"how often the journal registry checks whether its log has outgrown the compaction threshold (journal format only; 0 disables background compaction)")
+		"how often the journal registry checks whether its log has outgrown the compaction threshold (0 disables background compaction)")
 	var routeSpecs routeFlags
 	flag.Var(&routeSpecs, "route",
 		"static multi-hop route 'target=via1,via2' (repeatable); any -route enables forwarding: requests for networks this relay has no driver for are relayed onward and every carried response gains a signed hop pin")
@@ -85,31 +84,22 @@ func run() error {
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return fmt.Errorf("create deployment dir: %w", err)
 	}
-	var registry relay.Registry
-	switch *registryFormat {
-	case "journal":
-		journal := relay.NewJournalRegistry(deploy.JournalPath(*dir))
-		if !relay.FlockSupported {
-			// Without a real flock, compaction cannot exclude appends from
-			// *other* processes; the documented constraint on such
-			// platforms is one relayd per deploy dir, under which this
-			// process's own serialization suffices.
-			log.Printf("warning: no cross-process file locking on this platform; run a single relayd per deployment directory")
-		}
-		if *compactInterval > 0 {
-			// The background compactor keeps the journal bounded under
-			// heartbeat churn; the log stays correct (just longer) between
-			// runs, so failures only warn and retry at the next tick.
-			stopCompactor := journal.StartCompactor(*compactInterval, func(err error) {
-				log.Printf("journal compaction failed (retried next tick): %v", err)
-			})
-			defer stopCompactor()
-		}
-		registry = journal
-	case "flat":
-		registry = relay.NewFileRegistry(deploy.RegistryPath(*dir))
-	default:
-		return fmt.Errorf("unknown -registry format %q (expected 'journal' or 'flat')", *registryFormat)
+	registry := relay.NewJournalRegistry(deploy.JournalPath(*dir))
+	if !relay.FlockSupported {
+		// Without a real flock, compaction cannot exclude appends from
+		// *other* processes; the documented constraint on such platforms
+		// is one relayd per deploy dir, under which this process's own
+		// serialization suffices.
+		log.Printf("warning: no cross-process file locking on this platform; run a single relayd per deployment directory")
+	}
+	if *compactInterval > 0 {
+		// The background compactor keeps the journal bounded under
+		// heartbeat churn; the log stays correct (just longer) between
+		// runs, so failures only warn and retry at the next tick.
+		stopCompactor := registry.StartCompactor(*compactInterval, func(err error) {
+			log.Printf("journal compaction failed (retried next tick): %v", err)
+		})
+		defer stopCompactor()
 	}
 	transport := &relay.TCPTransport{DialTimeout: 5 * time.Second, IOTimeout: 30 * time.Second}
 

@@ -39,23 +39,23 @@
 // a relay whose in-memory replay cache misses recovers the committed
 // response from the ledger (relay.InvokeReplayer; BlockStore.
 // TxByInteropKey) instead of re-executing. The shared registry is safe for
-// multiple relayd processes on one deployment directory, in either storage
-// format: the default append-only lease journal (relay.JournalRegistry,
-// registry.jsonl) turns every announce, renewal and health publish into
-// one O(1) record appended under a flock held only for the append, with
-// readers tailing into a materialized view (last record wins, lapsed
-// leases filtered at read time; lease records carry absolute expiry plus
-// relative TTL and readers take the earlier interpretation, so skew never
-// stretches a dead relay's lease) and a background compactor rolling the
-// log into generation snapshots behind an atomic pointer flip — torn
-// appends are skipped, never fatal, and the next append self-heals the
-// tail. The legacy flat file (relay.FileRegistry, registry.json) holds the
-// flock across its whole read-modify-write cycle instead and doubles as
-// the journal's generation-0 base, which is the in-place migration path.
-// Lease heartbeats piggyback each relay's
-// per-address health observations (relay.SharedHealth) so a restarting
-// relay can seed its health tracker from fleet knowledge
-// (relay.SeedHealthFromRegistry) instead of rediscovering dead peers.
+// multiple relayd processes on one deployment directory: the append-only
+// lease journal (relay.JournalRegistry, registry.jsonl) turns every
+// announce, renewal and health publish into one O(1) record appended
+// under a flock held only for the append, with readers tailing into a
+// materialized view (last record wins, lapsed leases filtered at read
+// time; lease records carry absolute expiry plus relative TTL and readers
+// take the earlier interpretation, so skew never stretches a dead relay's
+// lease) and a background compactor rolling the log into generation
+// snapshots behind an atomic pointer flip — torn appends are skipped,
+// never fatal, and the next append self-heals the tail. A legacy flat
+// registry.json is read only as the journal's generation-0 base, which is
+// the in-place migration path: each process reads it when it builds its
+// generation-0 view, and after the first compaction no process reads it
+// again. Lease heartbeats piggyback each relay's per-address health
+// observations (relay.SharedHealth) so a restarting relay can seed its
+// health tracker from fleet knowledge (relay.SeedHealthFromRegistry)
+// instead of rediscovering dead peers.
 // Cross-network atomic exchange remains the province of internal/htlc;
 // the ledger dedup governs duplicate commits of one logical invoke on one
 // network.

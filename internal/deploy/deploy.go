@@ -24,7 +24,7 @@ const (
 	// JournalFile roots the append-only registry journal (plus its
 	// generation, pointer, and lock sidecars); a RegistryFile next to it is
 	// read as the journal's generation-0 base, which is the in-place
-	// migration path from the flat-file registry.
+	// migration path for a legacy flat-file deployment.
 	JournalFile   = "registry.jsonl"
 	ClientKitFile = "client-kit.json"
 	// RoutesFile records a relay's static multi-hop route table: the
@@ -105,7 +105,8 @@ func LoadKit(dir string) (*ClientKit, error) {
 	return &kit, nil
 }
 
-// RegistryPath returns the flat registry file path inside a deployment dir.
+// RegistryPath returns the legacy flat registry file path inside a
+// deployment dir.
 func RegistryPath(dir string) string {
 	return filepath.Join(dir, RegistryFile)
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -179,6 +180,45 @@ func TestHedgedFanoutAllAddressesFail(t *testing.T) {
 	dest := New("destnet", reg, hub, WithHedging(time.Millisecond, 2))
 	if _, err := dest.Query(context.Background(), captureQuery(t)); !errors.Is(err, ErrAllRelaysFailed) {
 		t.Fatalf("err = %v, want ErrAllRelaysFailed", err)
+	}
+}
+
+// TestAllRelaysFailedNamesEveryAddress: whichever fan-out gives up —
+// sequential or hedged query, at-most-once invoke — its error names both
+// dead addresses with their errors and open breakers, and still matches
+// ErrAllRelaysFailed and the transport cause.
+func TestAllRelaysFailedNamesEveryAddress(t *testing.T) {
+	query := func(r *Relay, q *wire.Query) error { _, err := r.Query(context.Background(), q); return err }
+	invoke := func(r *Relay, q *wire.Query) error { _, err := r.Invoke(context.Background(), q); return err }
+	for name, tc := range map[string]struct {
+		opts []Option
+		send func(*Relay, *wire.Query) error
+	}{
+		"sequential":   {nil, query},
+		"hedged":       {[]Option{WithHedging(time.Millisecond, 2)}, query},
+		"at-most-once": {nil, invoke},
+	} {
+		t.Run(name, func(t *testing.T) {
+			hub := NewHub()
+			reg := NewStaticRegistry()
+			src, _ := newCaptureRelay(reg, hub)
+			for _, a := range []string{"dead-1", "dead-2"} {
+				hub.Attach(a, src)
+				hub.SetDown(a, true)
+			}
+			reg.Register("srcnet", "dead-1", "dead-2")
+
+			dest := New("destnet", reg, hub, append(tc.opts, WithCircuitBreaker(1, time.Minute))...)
+			err := tc.send(dest, captureQuery(t))
+			if !errors.Is(err, ErrAllRelaysFailed) || !errors.Is(err, ErrUnreachable) {
+				t.Fatalf("err = %v, want ErrAllRelaysFailed wrapping ErrUnreachable", err)
+			}
+			for _, a := range []string{"dead-1", "dead-2"} {
+				if !strings.Contains(err.Error(), a+" (breaker open): ") {
+					t.Errorf("error does not name %s with its open breaker: %v", a, err)
+				}
+			}
+		})
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 
 // lockFile takes an exclusive advisory flock on f, blocking until it is
 // granted. flock locks attach to the open file description, so two
-// FileRegistry instances contend even inside one process — which is exactly
-// what lets tests chaos-drive the cross-process protocol with goroutines
-// standing in for separate relayd processes.
+// JournalRegistry instances contend even inside one process — which is
+// exactly what lets tests chaos-drive the cross-process protocol with
+// goroutines standing in for separate relayd processes.
 func lockFile(f *os.File) error {
 	return syscall.Flock(int(f.Fd()), syscall.LOCK_EX)
 }

@@ -2,7 +2,6 @@ package relay
 
 import (
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -232,11 +231,10 @@ func TestSnapshotStampsObservationTimeNotPublishTime(t *testing.T) {
 }
 
 // TestPublishHealthNoOpDoesNotRewriteFile: re-publishing an unchanged
-// snapshot (the steady-state heartbeat) must not churn the registry file
-// under the flock.
+// snapshot (the steady-state heartbeat) or a record for an address that is
+// not registered must append nothing to the registry journal.
 func TestPublishHealthNoOpDoesNotRewriteFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "registry.json")
-	reg := NewFileRegistry(path)
+	reg := journalAt(t, t.TempDir())
 	if err := reg.Register("src-net", "addr-a"); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
@@ -244,88 +242,22 @@ func TestPublishHealthNoOpDoesNotRewriteFile(t *testing.T) {
 	if err := reg.PublishHealth(rec); err != nil {
 		t.Fatalf("PublishHealth: %v", err)
 	}
-	before, err := os.Stat(path)
+	before, err := os.Stat(reg.path)
 	if err != nil {
 		t.Fatalf("Stat: %v", err)
 	}
-	// Same record again, and a record for an address that is not registered
-	// at all: both are no-ops and must leave the file untouched.
 	if err := reg.PublishHealth(rec); err != nil {
 		t.Fatalf("PublishHealth repeat: %v", err)
 	}
 	if err := reg.PublishHealth(map[string]SharedHealth{"addr-unknown": {ConsecFailures: 1, ObservedUnixNano: 900}}); err != nil {
 		t.Fatalf("PublishHealth unknown: %v", err)
 	}
-	after, err := os.Stat(path)
+	after, err := os.Stat(reg.path)
 	if err != nil {
 		t.Fatalf("Stat: %v", err)
 	}
-	if !after.ModTime().Equal(before.ModTime()) || after.Size() != before.Size() {
-		t.Fatal("no-op PublishHealth rewrote the registry file")
-	}
-}
-
-// TestFileRegistryHealthRoundTrip: health published into a file registry
-// survives the JSON round-trip (through a separate instance, as a separate
-// process would read it), keeps the freshest observation per address, and
-// shows up in Entries for inspection tooling.
-func TestFileRegistryHealthRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "registry.json")
-	reg := NewFileRegistry(path)
-	if err := reg.Register("src-net", "addr-a", "addr-b"); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	stale := SharedHealth{ConsecFailures: 5, ObservedUnixNano: 100}
-	frescoA := SharedHealth{ConsecFailures: 1, EWMALatencyNanos: int64(3 * time.Millisecond), ObservedUnixNano: 200}
-	if err := reg.PublishHealth(map[string]SharedHealth{"addr-a": frescoA}); err != nil {
-		t.Fatalf("PublishHealth: %v", err)
-	}
-	// A stale observation from another relay must not clobber the fresher
-	// record already on file.
-	if err := reg.PublishHealth(map[string]SharedHealth{"addr-a": stale, "addr-unregistered": frescoA}); err != nil {
-		t.Fatalf("PublishHealth stale: %v", err)
-	}
-
-	other := NewFileRegistry(path)
-	records, err := other.HealthRecords()
-	if err != nil {
-		t.Fatalf("HealthRecords: %v", err)
-	}
-	if got, ok := records["addr-a"]; !ok || got != frescoA {
-		t.Fatalf("addr-a record = %+v (present=%v), want %+v", got, ok, frescoA)
-	}
-	if _, ok := records["addr-unregistered"]; ok {
-		t.Fatal("health for an unregistered address was persisted")
-	}
-	if _, ok := records["addr-b"]; ok {
-		t.Fatal("addr-b has no published health, but a record appeared")
-	}
-	entries, err := other.Entries()
-	if err != nil {
-		t.Fatalf("Entries: %v", err)
-	}
-	for _, e := range entries["src-net"] {
-		switch e.Addr {
-		case "addr-a":
-			if e.Health == nil || *e.Health != frescoA {
-				t.Fatalf("Entries health for addr-a = %+v", e.Health)
-			}
-		case "addr-b":
-			if e.Health != nil {
-				t.Fatalf("Entries health for addr-b = %+v, want none", e.Health)
-			}
-		}
-	}
-	// Lease renewal must not shed the health record.
-	if err := other.RegisterLease("src-net", "addr-a", time.Minute); err != nil {
-		t.Fatalf("RegisterLease: %v", err)
-	}
-	records, err = other.HealthRecords()
-	if err != nil {
-		t.Fatalf("HealthRecords after renewal: %v", err)
-	}
-	if got := records["addr-a"]; got != frescoA {
-		t.Fatalf("health lost across lease renewal: %+v", got)
+	if after.Size() != before.Size() {
+		t.Fatalf("no-op PublishHealth appended %d bytes to the journal", after.Size()-before.Size())
 	}
 }
 

@@ -70,7 +70,7 @@ func (r *Relay) sendFanout(ctx context.Context, network string, addrs []string, 
 // addresses, so the failover order is live-and-fast first with circuit-open
 // addresses as last resort.
 func (r *Relay) sendSequential(ctx context.Context, network string, addrs []string, env *wire.Envelope) (*wire.Envelope, error) {
-	var lastErr error
+	var failed []relayAttempt
 	for _, addr := range addrs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -79,15 +79,12 @@ func (r *Relay) sendSequential(ctx context.Context, network string, addrs []stri
 		r.countFanoutAttempt()
 		reply, err := r.observeSend(ctx, addr, env)
 		if err != nil {
-			lastErr = err
+			failed = append(failed, relayAttempt{addr, err})
 			continue // fail over to the next relay address
 		}
 		return reply, nil
 	}
-	if lastErr == nil {
-		lastErr = ctx.Err()
-	}
-	return nil, fmt.Errorf("%w for %s: %w", ErrAllRelaysFailed, network, lastErr)
+	return nil, r.allRelaysFailed(ctx, network, failed)
 }
 
 // sendHedged races attempts across addrs: the first address is tried
@@ -134,7 +131,7 @@ func (r *Relay) sendHedged(ctx context.Context, network string, addrs []string, 
 	launch()
 	timer := time.NewTimer(hedgeDelay)
 	defer timer.Stop()
-	var lastErr error
+	var failed []relayAttempt
 	// An application-level MsgError reply must not win the race outright:
 	// the duplicate load hedging creates can itself trip server-side
 	// checks (e.g. the rate limiter), and letting that instant error
@@ -146,7 +143,7 @@ func (r *Relay) sendHedged(ctx context.Context, network string, addrs []string, 
 		if errorReply != nil {
 			return errorReply, nil
 		}
-		return nil, fmt.Errorf("%w for %s: %w", ErrAllRelaysFailed, network, lastErr)
+		return nil, r.allRelaysFailed(ctx, network, failed)
 	}
 	for {
 		var hedgeC <-chan time.Time
@@ -174,7 +171,7 @@ func (r *Relay) sendHedged(ctx context.Context, network string, addrs []string, 
 				return out.reply, nil
 			}
 			if out.err != nil {
-				lastErr = out.err
+				failed = append(failed, relayAttempt{addrs[out.index], out.err})
 			} else {
 				errorReply = out.reply
 			}
@@ -204,7 +201,7 @@ func (r *Relay) sendHedged(ctx context.Context, network string, addrs []string, 
 // already have been executed by a relay whose reply was lost. Used for
 // cross-network invokes.
 func (r *Relay) sendAtMostOnce(ctx context.Context, network string, addrs []string, env *wire.Envelope) (*wire.Envelope, error) {
-	var lastErr error
+	var failed []relayAttempt
 	for _, addr := range addrs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -215,13 +212,43 @@ func (r *Relay) sendAtMostOnce(ctx context.Context, network string, addrs []stri
 		if err == nil {
 			return reply, nil
 		}
-		lastErr = err
 		if !errors.Is(err, ErrUnreachable) {
 			return nil, err
 		}
+		failed = append(failed, relayAttempt{addr, err})
 	}
-	if lastErr == nil {
-		lastErr = ctx.Err()
+	return nil, r.allRelaysFailed(ctx, network, failed)
+}
+
+// relayAttempt is one failed send of a fan-out.
+type relayAttempt struct {
+	addr string
+	err  error
+}
+
+// allRelaysFailed is the error every fan-out returns once no relay
+// address answered. Its message names each address tried, that address's
+// error, and whether the address's circuit breaker is open now that the
+// request has given up; it wraps ErrAllRelaysFailed and every attempt's
+// error, so errors.Is still finds causes such as ErrUnreachable or
+// context.DeadlineExceeded. With no attempt made, ctx's error stands in
+// as the cause.
+func (r *Relay) allRelaysFailed(ctx context.Context, network string, failed []relayAttempt) error {
+	if len(failed) == 0 {
+		return fmt.Errorf("%w for %s: %w", ErrAllRelaysFailed, network, ctx.Err())
 	}
-	return nil, fmt.Errorf("%w for %s: %w", ErrAllRelaysFailed, network, lastErr)
+	format := "%w for %s: tried"
+	args := []any{ErrAllRelaysFailed, network}
+	for i, a := range failed {
+		if i > 0 {
+			format += ";"
+		}
+		breaker := ""
+		if r.health.circuitOpen(a.addr) {
+			breaker = " (breaker open)"
+		}
+		format += " %s%s: %w"
+		args = append(args, a.addr, breaker, a.err)
+	}
+	return fmt.Errorf(format, args...)
 }

@@ -3,6 +3,7 @@ package relay
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -15,12 +16,11 @@ import (
 )
 
 // JournalRegistry is a Discovery backed by an append-only lease journal —
-// the scaling successor to FileRegistry's flat file. Where FileRegistry
-// serializes every mutation through an exclusive flock held across a whole
-// load-modify-store cycle (read the file, decode, mutate, rewrite,
-// rename), the journal turns each RegisterLease / Deregister /
-// PublishHealth into one O(1) record appended to the log under a lock held
-// only for the append itself. N relayd processes heartbeating through one
+// the paper's "local file-based registry was plugged into the SWT Relay"
+// (§4.3), built so a heartbeating fleet can share it. Each RegisterLease /
+// Deregister / PublishHealth is one O(1) record appended to the log under
+// a cross-process lock held only for the append itself, never across a
+// load-modify-store cycle. N relayd processes heartbeating through one
 // registry therefore contend on a single short write apiece instead of N
 // full-file rewrites, which is what lets discovery keep up with the
 // redundant-relay fleet it fronts (the same write-ahead idea Fabric uses
@@ -34,7 +34,7 @@ import (
 //	                temp+rename), absent until the first compaction
 //	<path>.lock     sidecar flock serializing appends and compactions
 //	                across processes
-//	<dir>/registry.json  optional legacy flat file, folded in as the
+//	<dir>/registry.json  optional legacy flat file, read as the
 //	                generation-0 base snapshot (migration path)
 //
 // Each journal line is one self-contained JSON record: a lease grant or
@@ -59,6 +59,12 @@ import (
 // background ticker (StartCompactor); netadmin exposes it as `registry
 // compact`, which doubles as the explicit flat-file-to-journal migration.
 //
+// The legacy registry.json is read only when an instance builds its
+// generation-0 view (normally once, on its first read): a running process
+// does not see later edits to it, and once the first compaction has folded
+// it into a snapshot no process reads it again. Change membership with
+// Register/Deregister instead.
+//
 // Cross-process caveat: on platforms without flock support (see
 // flock_other.go) appends from separate processes are still each a single
 // O_APPEND write, but compaction cannot safely exclude them — run the
@@ -78,11 +84,24 @@ type JournalRegistry struct {
 }
 
 var (
-	_ Registry        = (*JournalRegistry)(nil)
+	_ Discovery       = (*JournalRegistry)(nil)
 	_ LeaseRegistrar  = (*JournalRegistry)(nil)
 	_ HealthPublisher = (*JournalRegistry)(nil)
 	_ HealthSource    = (*JournalRegistry)(nil)
 )
+
+// RegistryEntry is the exported view of one registered address, used by
+// inspection tooling (netadmin registry list). It is also the object
+// encoding of an entry in a legacy registry.json.
+type RegistryEntry struct {
+	Addr string `json:"addr"`
+	// ExpiresUnixNano is the lease expiry in nanoseconds since the Unix
+	// epoch, zero for permanent entries.
+	ExpiresUnixNano int64 `json:"expires_unix_nano,omitempty"`
+	// Health is the freshest published health observation for the address,
+	// nil when no relay has published one.
+	Health *SharedHealth `json:"health,omitempty"`
+}
 
 // journalView is the in-memory materialization of the journal: the decoded
 // registry as of byte offset within generation gen.
@@ -135,7 +154,7 @@ func WithCompactBytes(n int64) JournalOption {
 // NewJournalRegistry returns a journal-backed registry rooted at path
 // (conventionally <deploy-dir>/registry.jsonl). A legacy flat registry.json
 // next to it is understood as the generation-0 base snapshot, so pointing
-// the journal at an existing FileRegistry deployment migrates it in place.
+// the journal at an existing flat-file deployment migrates it in place.
 func NewJournalRegistry(path string, opts ...JournalOption) *JournalRegistry {
 	legacy := strings.TrimSuffix(path, filepath.Ext(path)) + ".json"
 	if legacy == path {
@@ -154,8 +173,8 @@ func NewJournalRegistry(path string, opts ...JournalOption) *JournalRegistry {
 }
 
 // JournalPresent reports whether journal artifacts exist for the given
-// journal path — the detection tooling uses to decide between the journal
-// and a legacy flat file.
+// journal path; netadmin uses it to tell a first compaction (the
+// migration of a flat-file-only deployment) from a routine one.
 func JournalPresent(path string) bool {
 	for _, p := range []string{path, path + ".gen"} {
 		if _, err := os.Stat(p); err == nil {
@@ -169,17 +188,6 @@ func JournalPresent(path string) bool {
 		}
 	}
 	return false
-}
-
-// DetectRegistry opens whichever durable registry backs a deployment
-// directory: the journal when its artifacts exist, otherwise the legacy
-// flat file. Tooling that only inspects or resolves uses this so it works
-// against both formats without a flag.
-func DetectRegistry(journalPath, flatPath string, opts ...JournalOption) Registry {
-	if JournalPresent(journalPath) {
-		return NewJournalRegistry(journalPath, opts...)
-	}
-	return NewFileRegistry(flatPath)
 }
 
 func (r *JournalRegistry) pointerPath() string { return r.path + ".gen" }
@@ -226,6 +234,26 @@ func (r *JournalRegistry) withFlock(fn func(gen uint64) error) error {
 		return err
 	}
 	return fn(gen)
+}
+
+// acquireFlock takes a blocking exclusive flock on the sidecar lock file,
+// returning its release; target only labels errors. The lock lives on a
+// sidecar file because generation files and the pointer are replaced by
+// rename — a lock on an old inode would not exclude a writer that opened
+// the new one.
+func acquireFlock(lockPath, target string) (func(), error) {
+	f, err := os.OpenFile(lockPath, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("relay: open registry lock %s: %w", lockPath, err)
+	}
+	if err := lockFile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("relay: lock registry %s: %w", target, err)
+	}
+	return func() {
+		_ = unlockFile(f)
+		f.Close()
+	}, nil
 }
 
 // appendRecords appends records as journal lines — the O(1) write path.
@@ -642,7 +670,7 @@ func (r *JournalRegistry) refreshLocked() error {
 // should exist but does not (rolled away underneath us).
 func (r *JournalRegistry) refreshGenLocked(gen uint64) error {
 	if !r.view.valid || gen != r.view.gen {
-		r.view = journalView{
+		view := journalView{
 			valid:   true,
 			gen:     gen,
 			entries: make(map[string][]leaseEntry),
@@ -651,17 +679,20 @@ func (r *JournalRegistry) refreshGenLocked(gen uint64) error {
 		// The legacy flat file is the generation-0 base snapshot: a
 		// deployment that upgraded in place keeps every registration it
 		// had. From generation 1 on, the compaction snapshot has folded it
-		// in.
+		// in. The view is installed only once its base has loaded, so a
+		// corrupt base fails every read instead of leaving an empty view
+		// behind for the next one.
 		if gen == 0 {
 			if legacy, err := loadRegistryFile(r.legacyPath); err == nil {
-				r.view.entries = legacy
+				view.entries = legacy
 				for addr, h := range collectHealth(legacy) {
-					r.view.health[addr] = h
+					view.health[addr] = h
 				}
 			} else if !os.IsNotExist(err) {
 				return err
 			}
 		}
+		r.view = view
 	}
 	f, err := os.Open(r.genPath(r.view.gen))
 	if err != nil {
@@ -715,7 +746,7 @@ func (r *JournalRegistry) applyLocked(rec journalRecord) {
 			r.skipped++
 			return
 		}
-		r.view.entries[rec.Net], _ = upsertLease(r.view.entries[rec.Net], rec.Addr, r.leaseExpiry(rec))
+		r.view.entries[rec.Net] = upsertLease(r.view.entries[rec.Net], rec.Addr, r.leaseExpiry(rec))
 		if h, ok := r.view.health[rec.Addr]; ok {
 			applyHealth(r.view.entries[rec.Net], map[string]SharedHealth{rec.Addr: h})
 		}
@@ -744,6 +775,93 @@ func (r *JournalRegistry) applyLocked(rec journalRecord) {
 	default:
 		r.skipped++
 	}
+}
+
+// loadRegistryFile decodes a legacy flat registry.json into lease lists. A
+// missing file surfaces as os.IsNotExist so the generation-0 probe can
+// tell "no flat file" from a real error. Each network holds a list whose
+// items are either a bare address string (a permanent, operator-managed
+// entry) or a RegistryEntry object (a lease expiry and/or a shared health
+// record); an address listed twice under one network keeps one entry.
+func loadRegistryFile(path string) (map[string][]leaseEntry, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, err
+		}
+		return nil, fmt.Errorf("relay: read registry %s: %w", path, err)
+	}
+	raw := make(map[string][]json.RawMessage)
+	if len(data) > 0 {
+		if err := json.Unmarshal(data, &raw); err != nil {
+			return nil, fmt.Errorf("relay: parse registry %s: %w", path, err)
+		}
+	}
+	entries := make(map[string][]leaseEntry, len(raw))
+	for id, list := range raw {
+		decoded := make([]leaseEntry, 0, len(list))
+		for _, item := range list {
+			entry, err := decodeRegistryEntry(item)
+			if err != nil {
+				return nil, fmt.Errorf("relay: parse registry %s, network %q: %w", path, id, err)
+			}
+			decoded = upsertLease(decoded, entry.addr, entry.expires)
+			if entry.health != nil {
+				applyHealth(decoded, map[string]SharedHealth{entry.addr: *entry.health})
+			}
+		}
+		entries[id] = decoded
+	}
+	return entries, nil
+}
+
+// decodeRegistryEntry accepts both legacy entry encodings: a bare address
+// string (permanent) or a lease object.
+func decodeRegistryEntry(raw json.RawMessage) (leaseEntry, error) {
+	var addr string
+	if err := json.Unmarshal(raw, &addr); err == nil {
+		if addr == "" {
+			return leaseEntry{}, errors.New("entry without addr")
+		}
+		return leaseEntry{addr: addr}, nil
+	}
+	var obj RegistryEntry
+	if err := json.Unmarshal(raw, &obj); err != nil {
+		return leaseEntry{}, err
+	}
+	if obj.Addr == "" {
+		return leaseEntry{}, errors.New("entry without addr")
+	}
+	entry := leaseEntry{addr: obj.Addr}
+	if obj.ExpiresUnixNano != 0 {
+		entry.expires = time.Unix(0, obj.ExpiresUnixNano)
+	}
+	if obj.Health != nil {
+		h := *obj.Health
+		entry.health = &h
+	}
+	return entry, nil
+}
+
+// exportEntries converts the materialized lease lists into the exported
+// inspection form.
+func exportEntries(entries map[string][]leaseEntry) map[string][]RegistryEntry {
+	out := make(map[string][]RegistryEntry, len(entries))
+	for id, list := range entries {
+		exported := make([]RegistryEntry, len(list))
+		for i, e := range list {
+			exported[i] = RegistryEntry{Addr: e.addr}
+			if !e.expires.IsZero() {
+				exported[i].ExpiresUnixNano = e.expires.UnixNano()
+			}
+			if e.health != nil {
+				h := *e.health
+				exported[i].Health = &h
+			}
+		}
+		out[id] = exported
+	}
+	return out
 }
 
 // leaseExpiry reconciles a lease record's two encodings on the reader's

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -255,6 +256,9 @@ func TestJournalRegistryHealthPiggyback(t *testing.T) {
 	if _, ok := records["unregistered:9"]; ok {
 		t.Fatal("health published for an unregistered address survived")
 	}
+	if _, ok := records["b:2"]; ok {
+		t.Fatal("b:2 has no published health, but a record appeared")
+	}
 	// Entries carry the record for inspection tooling.
 	entries, err := reg.Entries()
 	if err != nil {
@@ -265,27 +269,79 @@ func TestJournalRegistryHealthPiggyback(t *testing.T) {
 			t.Fatalf("entry health = %+v, want %+v", e.Health, fresh)
 		}
 	}
+	// Lease renewal must not shed the health record.
+	if err := reg.RegisterLease("net", "a:1", time.Minute); err != nil {
+		t.Fatalf("RegisterLease: %v", err)
+	}
+	records, err = journalAt(t, dir).HealthRecords()
+	if err != nil || records["a:1"] != fresh {
+		t.Fatalf("health after lease renewal = %+v, %v, want %+v", records["a:1"], err, fresh)
+	}
 }
 
+// legacyRegistryFixture is a registry.json byte for byte as the flat-file
+// registry wrote it (clock at Unix 1_700_000_000): bare-string permanent
+// entries, a permanent entry carrying a health record, a lease object
+// with its absolute expiry one hour out, and legacy:1 listed under two
+// networks.
+const legacyRegistryFixture = `{
+  "tradelens": [
+    "legacy:1",
+    {
+      "addr": "legacy:2",
+      "health": {
+        "consec_failures": 3,
+        "ewma_latency_nanos": 2000000,
+        "observed_unix_nano": 1699999990000000000
+      }
+    },
+    {
+      "addr": "leased:3",
+      "expires_unix_nano": 1700003600000000000
+    }
+  ],
+  "wetrade": [
+    "legacy:1"
+  ]
+}`
+
 // TestJournalRegistryLegacyMigration: a deployment directory holding only a
-// FileRegistry flat file is readable as the journal's generation-0 base;
-// appends layer on top of it; and Compact folds everything into a
+// legacy flat registry.json is readable as the journal's generation-0
+// base; appends layer on top of it; and Compact folds everything into a
 // generation-1 snapshot after which the flat file is no longer consulted.
 func TestJournalRegistryLegacyMigration(t *testing.T) {
 	dir := t.TempDir()
-	flat := NewFileRegistry(filepath.Join(dir, "registry.json"))
-	if err := flat.Register("tradelens", "legacy:1", "legacy:2"); err != nil {
-		t.Fatalf("seed flat registry: %v", err)
+	if err := os.WriteFile(filepath.Join(dir, "registry.json"), []byte(legacyRegistryFixture), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if err := flat.RegisterLease("tradelens", "leased:3", time.Hour); err != nil {
-		t.Fatalf("seed flat lease: %v", err)
+	clk := newFakeClock()
+	open := func() *JournalRegistry {
+		reg := journalAt(t, dir)
+		reg.now = clk.Now
+		return reg
 	}
 
-	reg := journalAt(t, dir)
+	reg := open()
 	addrs, err := reg.Resolve("tradelens")
-	if err != nil || len(addrs) != 3 {
+	if err != nil || fmt.Sprint(addrs) != "[legacy:1 legacy:2 leased:3]" {
 		t.Fatalf("legacy base Resolve = %v, %v", addrs, err)
 	}
+	if addrs, err := reg.Resolve("wetrade"); err != nil || fmt.Sprint(addrs) != "[legacy:1]" {
+		t.Fatalf("legacy base Resolve(wetrade) = %v, %v", addrs, err)
+	}
+	entries, err := reg.Entries()
+	if err != nil {
+		t.Fatalf("Entries: %v", err)
+	}
+	if e := entries["tradelens"][2]; e.ExpiresUnixNano != 1_700_003_600_000_000_000 {
+		t.Fatalf("leased:3 entry = %+v, want the fixture's lease expiry", e)
+	}
+	health, err := reg.HealthRecords()
+	want := SharedHealth{ConsecFailures: 3, EWMALatencyNanos: 2_000_000, ObservedUnixNano: 1_699_999_990_000_000_000}
+	if err != nil || len(health) != 1 || health["legacy:2"] != want {
+		t.Fatalf("legacy base HealthRecords = %+v, %v", health, err)
+	}
+
 	// Journal appends layer over the legacy base.
 	if err := reg.RegisterLease("tradelens", "journal:4", time.Hour); err != nil {
 		t.Fatalf("RegisterLease: %v", err)
@@ -307,11 +363,139 @@ func TestJournalRegistryLegacyMigration(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "registry.json"), []byte(`{"tradelens":["poison:9"]}`), 0o644); err != nil {
 		t.Fatalf("rewrite legacy: %v", err)
 	}
-	fresh := journalAt(t, dir)
+	fresh := open()
 	addrs, err = fresh.Resolve("tradelens")
-	if err != nil || len(addrs) != 3 || containsAddr(addrs, "poison:9") {
+	if err != nil || fmt.Sprint(addrs) != "[legacy:1 leased:3 journal:4]" {
 		t.Fatalf("post-migration Resolve = %v, %v", addrs, err)
 	}
+	if addrs, err := fresh.Resolve("wetrade"); err != nil || fmt.Sprint(addrs) != "[legacy:1]" {
+		t.Fatalf("post-migration Resolve(wetrade) = %v, %v", addrs, err)
+	}
+	// The migrated lease keeps the fixture's expiry: past it, only the
+	// permanent entry and the journal's own lease resolve.
+	clk.Advance(90 * time.Minute)
+	if addrs, err := fresh.Resolve("tradelens"); err != nil || fmt.Sprint(addrs) != "[legacy:1]" {
+		t.Fatalf("after lease expiry Resolve = %v, %v", addrs, err)
+	}
+}
+
+// TestJournalRegistryCorruptLegacyFile: an unparseable legacy registry.json
+// is an error from every read, never an empty view that would silently
+// drop the deployment's registrations.
+func TestJournalRegistryCorruptLegacyFile(t *testing.T) {
+	for name, body := range map[string]string{
+		"syntax":       "{not json",
+		"entry-type":   `{"a":[42]}`,
+		"missing-addr": `{"a":[{"expires_unix_nano":1}]}`,
+		"empty-addr":   `{"a":[""]}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "registry.json"), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			reg := journalAt(t, dir)
+			_, err := reg.Resolve("a")
+			if err == nil || errors.Is(err, ErrUnknownNetwork) || !strings.Contains(err.Error(), "parse registry") {
+				t.Fatalf("Resolve err = %v, want a parse error", err)
+			}
+			if _, err := reg.Entries(); err == nil {
+				t.Fatal("Entries accepted a corrupt registry.json")
+			}
+		})
+	}
+}
+
+// TestJournalRegistryRestartIdempotent models relayd restarting against the
+// same deployment dir: each run is a fresh instance announcing the same
+// address, and the view must hold exactly one entry for it.
+func TestJournalRegistryRestartIdempotent(t *testing.T) {
+	dir := t.TempDir()
+	for restart := 0; restart < 3; restart++ {
+		if err := journalAt(t, dir).RegisterLease("tradelens", "127.0.0.1:9080", time.Minute); err != nil {
+			t.Fatalf("restart %d RegisterLease: %v", restart, err)
+		}
+	}
+	entries, err := journalAt(t, dir).Entries()
+	if err != nil {
+		t.Fatalf("Entries: %v", err)
+	}
+	if got := entries["tradelens"]; len(got) != 1 || got[0].Addr != "127.0.0.1:9080" {
+		t.Fatalf("after three restarts entries = %+v, want exactly one", got)
+	}
+
+	// Permanent Register dedupes the same way.
+	reg := journalAt(t, dir)
+	if err := reg.Register("tradelens", "127.0.0.1:9080", "127.0.0.1:9081"); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	if err := reg.Register("tradelens", "127.0.0.1:9081"); err != nil {
+		t.Fatalf("Register again: %v", err)
+	}
+	addrs, err := journalAt(t, dir).Resolve("tradelens")
+	if err != nil || len(addrs) != 2 {
+		t.Fatalf("Resolve = %v, %v, want the two deduplicated addresses", addrs, err)
+	}
+}
+
+// TestAnnounceHeartbeatAndShutdown: the announcer keeps a lease alive well
+// past its TTL, and stop() deregisters the address. The TTL-to-runtime
+// margin is generous (a renewal would have to slip >2/3 of a 600ms TTL for
+// the lease to lapse) so a loaded CI scheduler cannot flake it.
+func TestAnnounceHeartbeatAndShutdown(t *testing.T) {
+	reg := journalAt(t, t.TempDir())
+	const ttl = 600 * time.Millisecond
+	stop, err := Announce(reg, "tradelens", "127.0.0.1:9080", ttl, nil)
+	if err != nil {
+		t.Fatalf("Announce: %v", err)
+	}
+	deadline := time.Now().Add(2 * ttl)
+	for time.Now().Before(deadline) {
+		if addrs, err := reg.Resolve("tradelens"); err != nil || len(addrs) != 1 {
+			t.Fatalf("lease lapsed despite heartbeat: %v, %v", addrs, err)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	stop()
+	stop() // idempotent
+	if _, err := reg.Resolve("tradelens"); !errors.Is(err, ErrUnknownNetwork) {
+		t.Fatalf("after stop Resolve err = %v, want ErrUnknownNetwork", err)
+	}
+}
+
+// FuzzLegacyRegistryFile feeds arbitrary bytes in as an operator-supplied
+// registry.json under a fresh journal: reads must return (an error is
+// fine) without panicking, and a successful read never yields an entry
+// without an address.
+func FuzzLegacyRegistryFile(f *testing.F) {
+	f.Add([]byte(legacyRegistryFixture))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"a":["x","x",{"addr":"x","expires_unix_nano":-1}]}`))
+	f.Add([]byte(`{"a":[null]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "registry.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reg := journalAt(t, dir)
+		_, _ = reg.Resolve("tradelens")
+		if entries, err := reg.Entries(); err == nil {
+			for network, list := range entries {
+				for _, e := range list {
+					if e.Addr == "" {
+						t.Fatalf("network %q has an entry without an address: %+v", network, e)
+					}
+				}
+			}
+		}
+		if records, err := reg.HealthRecords(); err == nil {
+			for addr := range records {
+				if addr == "" {
+					t.Fatalf("health record without an address: %+v", records)
+				}
+			}
+		}
+	})
 }
 
 // TestJournalRegistryCompactionBoundsFile: under heartbeat churn the

@@ -17,27 +17,6 @@ type LeaseRegistrar interface {
 	Deregister(networkID, addr string) error
 }
 
-// Registry is the full administrative surface a durable discovery registry
-// offers — resolution, lease-based membership, shared health, and the
-// inspection/maintenance operations netadmin drives. Both the flat-file
-// FileRegistry and the journal-backed JournalRegistry implement it, which
-// is what lets the tooling (and the conformance/chaos suite) treat the two
-// storage formats interchangeably.
-type Registry interface {
-	Discovery
-	LeaseRegistrar
-	HealthPublisher
-	HealthSource
-	// Register adds permanent, operator-managed addresses for a network.
-	Register(networkID string, addrs ...string) error
-	// Prune drops entries whose lease has lapsed, returning how many.
-	Prune() (int, error)
-	// Entries exports every entry with its lease state, lapsed included.
-	Entries() (map[string][]RegistryEntry, error)
-	// Networks lists registered network IDs, including fully-lapsed ones.
-	Networks() ([]string, error)
-}
-
 // SharedHealth is one relay's published observation of a peer address's
 // health, stored alongside the address's registry entry and piggybacked on
 // lease renewal. A relay that restarts loses its in-memory health tracker;
@@ -122,42 +101,31 @@ func (e leaseEntry) live(now time.Time) bool {
 // upsertLease registers addr in a lease list, deduplicating by address:
 // an existing entry has its expiry refreshed in place (keeping its
 // preference position and any published health record), otherwise the
-// entry is appended. changed reports whether anything was actually
-// modified, so file-backed registries can skip rewriting on a no-op
-// re-registration.
-func upsertLease(entries []leaseEntry, addr string, expires time.Time) (updated []leaseEntry, changed bool) {
+// entry is appended.
+func upsertLease(entries []leaseEntry, addr string, expires time.Time) []leaseEntry {
 	for i := range entries {
 		if entries[i].addr == addr {
-			if entries[i].expires.Equal(expires) {
-				return entries, false
-			}
 			entries[i].expires = expires
-			return entries, true
+			return entries
 		}
 	}
-	return append(entries, leaseEntry{addr: addr, expires: expires}), true
+	return append(entries, leaseEntry{addr: addr, expires: expires})
 }
 
 // applyHealth attaches published health records to the matching entries of
-// a lease list, keeping whichever record is fresher per address, and
-// reports whether any entry actually changed (so file-backed registries
-// can skip rewriting on a no-op publish).
-func applyHealth(entries []leaseEntry, byAddr map[string]SharedHealth) bool {
-	changed := false
+// a lease list, keeping whichever record is fresher per address.
+func applyHealth(entries []leaseEntry, byAddr map[string]SharedHealth) {
 	for i := range entries {
 		rec, ok := byAddr[entries[i].addr]
 		if !ok {
 			continue
 		}
-		cur := entries[i].health
-		if cur != nil && (rec.ObservedUnixNano < cur.ObservedUnixNano || *cur == rec) {
+		if cur := entries[i].health; cur != nil && rec.ObservedUnixNano < cur.ObservedUnixNano {
 			continue
 		}
 		copied := rec
 		entries[i].health = &copied
-		changed = true
 	}
-	return changed
 }
 
 // collectHealth gathers the freshest health record per address across every

@@ -1,9 +1,8 @@
-// The registry conformance/chaos suite, grown out of the original
-// FileRegistry chaos tests: every durable Registry implementation — the
-// flock-serialized flat file and the append-only journal — must survive
-// N-process-style concurrent registrars, health publishers, and (for the
-// journal) a concurrent compactor without losing a single record, and a
-// reader tailing mid-compaction must never observe a partial view.
+// The registry chaos suite: the append-only journal, opened as one
+// instance per goroutine the way N relayd processes share a deployment
+// directory, must survive concurrent registrars, health publishers and a
+// concurrent compactor without losing a single record, and a reader
+// tailing mid-compaction must never observe a partial view.
 //
 // The suite asserts cross-process guarantees that the no-op flock fallback
 // on non-unix platforms cannot promise (see flock_other.go) — so it is
@@ -14,265 +13,205 @@ package relay
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 )
 
-// registryImpl is one Registry implementation under conformance test. Each
-// chaos goroutine opens its own instance via open — the per-instance mutex
-// then serializes nothing across them, exactly the situation of N relayd
-// processes sharing one deployment directory.
-type registryImpl struct {
-	name string
-	open func(dir string) Registry
-	// openSkewed opens an instance whose clock is offset by skew, for
-	// seeding already-lapsed decoy leases.
-	openSkewed func(dir string, skew time.Duration) Registry
-	// compact runs one compaction cycle, nil for implementations without
-	// one (the flat file is rewritten on every store already).
-	compact func(dir string) error
-}
-
-func registryImpls() []registryImpl {
-	return []registryImpl{
-		{
-			name: "file",
-			open: func(dir string) Registry {
-				return NewFileRegistry(filepath.Join(dir, "registry.json"))
-			},
-			openSkewed: func(dir string, skew time.Duration) Registry {
-				r := NewFileRegistry(filepath.Join(dir, "registry.json"))
-				r.now = func() time.Time { return time.Now().Add(skew) }
-				return r
-			},
-		},
-		{
-			name: "journal",
-			open: func(dir string) Registry {
-				return NewJournalRegistry(filepath.Join(dir, "registry.jsonl"))
-			},
-			openSkewed: func(dir string, skew time.Duration) Registry {
-				r := NewJournalRegistry(filepath.Join(dir, "registry.jsonl"))
-				r.now = func() time.Time { return time.Now().Add(skew) }
-				return r
-			},
-			compact: func(dir string) error {
-				return NewJournalRegistry(filepath.Join(dir, "registry.jsonl")).Compact()
-			},
-		},
-	}
-}
-
 // TestRegistryChaosConcurrentRegistrars chaos-drives the shared deploy-dir
-// protocol for every implementation: concurrent registrars churn through
-// renewals, deregister/re-register cycles and prunes — and, where the
-// implementation has one, a compactor rewrites the log underneath them the
-// whole time. Each (registrar, round) pair registers a distinct address
+// protocol: concurrent registrars churn through renewals,
+// deregister/re-register cycles and prunes while a compactor rewrites the
+// log underneath them the whole time. Each (registrar, round) pair registers a distinct address
 // that is never touched again, so a single lost record anywhere in the run
 // is permanently visible at the end; a registrar re-announcing the same
 // address would instead silently heal the loss one round later and mask
-// the bug. Before the FileRegistry flock this lost registrations routinely
-// (two loads, two stores, last store wins); the journal must uphold the
-// same 0-lost bar with appends alone.
+// the bug. An unserialized read-modify-write registry loses registrations
+// here routinely (two loads, two stores, last store wins); the journal
+// must hold the 0-lost bar with appends alone.
 func TestRegistryChaosConcurrentRegistrars(t *testing.T) {
-	for _, impl := range registryImpls() {
-		impl := impl
-		t.Run(impl.name, func(t *testing.T) {
-			dir := t.TempDir()
+	dir := t.TempDir()
 
-			// A decoy whose lease is already lapsed gives the concurrent
-			// Prunes something real to remove while registrations fly.
-			decoy := impl.openSkewed(dir, -time.Hour)
-			if err := decoy.RegisterLease("net-0", "10.9.9.9:1", time.Minute); err != nil {
-				t.Fatalf("seed decoy: %v", err)
-			}
+	// A decoy whose lease is already lapsed gives the concurrent
+	// Prunes something real to remove while registrations fly.
+	decoy := journalAt(t, dir)
+	decoy.now = func() time.Time { return time.Now().Add(-time.Hour) }
+	if err := decoy.RegisterLease("net-0", "10.9.9.9:1", time.Minute); err != nil {
+		t.Fatalf("seed decoy: %v", err)
+	}
 
-			const registrars = 8
-			const rounds = 12
-			addrFor := func(i, r int) string { return fmt.Sprintf("10.0.%d.%d:9080", i, r) }
-			netFor := func(i int) string { return fmt.Sprintf("net-%d", i%2) }
-			start := make(chan struct{})
-			stopCompact := make(chan struct{})
-			errs := make(chan error, registrars+1)
-			var wg sync.WaitGroup
-			for i := 0; i < registrars; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					// One registry instance per goroutine = one relayd process.
-					reg := impl.open(dir)
-					churn := fmt.Sprintf("10.8.8.%d:9080", i)
-					<-start
-					for r := 0; r < rounds; r++ {
-						if err := reg.RegisterLease(netFor(i), addrFor(i, r), time.Minute); err != nil {
-							errs <- fmt.Errorf("registrar %d round %d: RegisterLease: %w", i, r, err)
-							return
-						}
-						switch r % 4 {
-						case 1:
-							// Restart churn on a dedicated address.
-							if err := reg.RegisterLease(netFor(i), churn, time.Minute); err != nil {
-								errs <- fmt.Errorf("registrar %d round %d: churn register: %w", i, r, err)
-								return
-							}
-							if err := reg.Deregister(netFor(i), churn); err != nil {
-								errs <- fmt.Errorf("registrar %d round %d: churn deregister: %w", i, r, err)
-								return
-							}
-						case 3:
-							if _, err := reg.Prune(); err != nil {
-								errs <- fmt.Errorf("registrar %d round %d: Prune: %w", i, r, err)
-								return
-							}
-						}
-					}
-				}(i)
-			}
-			// The concurrent compactor: its own "process", rewriting the log
-			// in a tight loop while every registration above is in flight.
-			var compactWG sync.WaitGroup
-			if impl.compact != nil {
-				compactWG.Add(1)
-				go func() {
-					defer compactWG.Done()
-					<-start
-					for {
-						select {
-						case <-stopCompact:
-							return
-						default:
-						}
-						if err := impl.compact(dir); err != nil {
-							errs <- fmt.Errorf("compactor: %w", err)
-							return
-						}
-					}
-				}()
-			}
-			close(start)
-			wg.Wait()
-			close(stopCompact)
-			compactWG.Wait()
-			close(errs)
-			for err := range errs {
-				t.Error(err)
-			}
-			if t.Failed() {
-				t.FailNow()
-			}
-
-			// Every registration of every round must have survived every
-			// concurrent writer and every compaction.
-			final := impl.open(dir)
-			lost := 0
-			for i := 0; i < registrars; i++ {
-				addrs, err := final.Resolve(netFor(i))
-				if err != nil {
-					t.Fatalf("Resolve(%s): %v", netFor(i), err)
+	const registrars = 8
+	const rounds = 12
+	addrFor := func(i, r int) string { return fmt.Sprintf("10.0.%d.%d:9080", i, r) }
+	netFor := func(i int) string { return fmt.Sprintf("net-%d", i%2) }
+	start := make(chan struct{})
+	stopCompact := make(chan struct{})
+	errs := make(chan error, registrars+1)
+	var wg sync.WaitGroup
+	for i := 0; i < registrars; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			// One registry instance per goroutine = one relayd process.
+			reg := journalAt(t, dir)
+			churn := fmt.Sprintf("10.8.8.%d:9080", i)
+			<-start
+			for r := 0; r < rounds; r++ {
+				if err := reg.RegisterLease(netFor(i), addrFor(i, r), time.Minute); err != nil {
+					errs <- fmt.Errorf("registrar %d round %d: RegisterLease: %w", i, r, err)
+					return
 				}
-				for r := 0; r < rounds; r++ {
-					if !containsAddr(addrs, addrFor(i, r)) {
-						lost++
+				switch r % 4 {
+				case 1:
+					// Restart churn on a dedicated address.
+					if err := reg.RegisterLease(netFor(i), churn, time.Minute); err != nil {
+						errs <- fmt.Errorf("registrar %d round %d: churn register: %w", i, r, err)
+						return
+					}
+					if err := reg.Deregister(netFor(i), churn); err != nil {
+						errs <- fmt.Errorf("registrar %d round %d: churn deregister: %w", i, r, err)
+						return
+					}
+				case 3:
+					if _, err := reg.Prune(); err != nil {
+						errs <- fmt.Errorf("registrar %d round %d: Prune: %w", i, r, err)
+						return
 					}
 				}
 			}
-			if lost > 0 {
-				t.Fatalf("%d of %d registrations lost to concurrent writers", lost, registrars*rounds)
+		}(i)
+	}
+	// The concurrent compactor: its own "process", rewriting the log
+	// in a tight loop while every registration above is in flight.
+	var compactWG sync.WaitGroup
+	compactWG.Add(1)
+	go func() {
+		defer compactWG.Done()
+		<-start
+		for {
+			select {
+			case <-stopCompact:
+				return
+			default:
 			}
-		})
+			if err := journalAt(t, dir).Compact(); err != nil {
+				errs <- fmt.Errorf("compactor: %w", err)
+				return
+			}
+		}
+	}()
+	close(start)
+	wg.Wait()
+	close(stopCompact)
+	compactWG.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	// Every registration of every round must have survived every
+	// concurrent writer and every compaction.
+	final := journalAt(t, dir)
+	lost := 0
+	for i := 0; i < registrars; i++ {
+		addrs, err := final.Resolve(netFor(i))
+		if err != nil {
+			t.Fatalf("Resolve(%s): %v", netFor(i), err)
+		}
+		for r := 0; r < rounds; r++ {
+			if !containsAddr(addrs, addrFor(i, r)) {
+				lost++
+			}
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d registrations lost to concurrent writers", lost, registrars*rounds)
 	}
 }
 
 // TestRegistryChaosConcurrentHealthPublishers races health publication
-// from separate registry instances against lease renewals (and, for the
-// journal, a concurrent compactor): published records must land on the
+// from separate registry instances against lease renewals and a
+// concurrent compactor: published records must land on the
 // surviving entries without dropping either the registrations or each
 // other.
 func TestRegistryChaosConcurrentHealthPublishers(t *testing.T) {
-	for _, impl := range registryImpls() {
-		impl := impl
-		t.Run(impl.name, func(t *testing.T) {
-			dir := t.TempDir()
-			seed := impl.open(dir)
-			const addrs = 4
-			for i := 0; i < addrs; i++ {
-				if err := seed.Register("net", fmt.Sprintf("10.1.0.%d:9080", i)); err != nil {
-					t.Fatalf("seed Register: %v", err)
+	dir := t.TempDir()
+	seed := journalAt(t, dir)
+	const addrs = 4
+	for i := 0; i < addrs; i++ {
+		if err := seed.Register("net", fmt.Sprintf("10.1.0.%d:9080", i)); err != nil {
+			t.Fatalf("seed Register: %v", err)
+		}
+	}
+
+	const publishers = 6
+	stopCompact := make(chan struct{})
+	errs := make(chan error, publishers+1)
+	var wg sync.WaitGroup
+	for i := 0; i < publishers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			reg := journalAt(t, dir)
+			for r := 0; r < 10; r++ {
+				records := map[string]SharedHealth{
+					fmt.Sprintf("10.1.0.%d:9080", r%addrs): {
+						ConsecFailures:   i + 1,
+						EWMALatencyNanos: int64(time.Millisecond),
+						ObservedUnixNano: int64(i*1000 + r),
+					},
+				}
+				if err := reg.PublishHealth(records); err != nil {
+					errs <- fmt.Errorf("publisher %d: %w", i, err)
+					return
+				}
+				if err := reg.RegisterLease("net", fmt.Sprintf("10.1.0.%d:9080", i%addrs), time.Minute); err != nil {
+					errs <- fmt.Errorf("publisher %d renew: %w", i, err)
+					return
 				}
 			}
+		}(i)
+	}
+	var compactWG sync.WaitGroup
+	compactWG.Add(1)
+	go func() {
+		defer compactWG.Done()
+		for {
+			select {
+			case <-stopCompact:
+				return
+			default:
+			}
+			if err := journalAt(t, dir).Compact(); err != nil {
+				errs <- fmt.Errorf("compactor: %w", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stopCompact)
+	compactWG.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
 
-			const publishers = 6
-			stopCompact := make(chan struct{})
-			errs := make(chan error, publishers+1)
-			var wg sync.WaitGroup
-			for i := 0; i < publishers; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					reg := impl.open(dir)
-					for r := 0; r < 10; r++ {
-						records := map[string]SharedHealth{
-							fmt.Sprintf("10.1.0.%d:9080", r%addrs): {
-								ConsecFailures:   i + 1,
-								EWMALatencyNanos: int64(time.Millisecond),
-								ObservedUnixNano: int64(i*1000 + r),
-							},
-						}
-						if err := reg.PublishHealth(records); err != nil {
-							errs <- fmt.Errorf("publisher %d: %w", i, err)
-							return
-						}
-						if err := reg.RegisterLease("net", fmt.Sprintf("10.1.0.%d:9080", i%addrs), time.Minute); err != nil {
-							errs <- fmt.Errorf("publisher %d renew: %w", i, err)
-							return
-						}
-					}
-				}(i)
-			}
-			var compactWG sync.WaitGroup
-			if impl.compact != nil {
-				compactWG.Add(1)
-				go func() {
-					defer compactWG.Done()
-					for {
-						select {
-						case <-stopCompact:
-							return
-						default:
-						}
-						if err := impl.compact(dir); err != nil {
-							errs <- fmt.Errorf("compactor: %w", err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			close(stopCompact)
-			compactWG.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
-
-			final := impl.open(dir)
-			resolved, err := final.Resolve("net")
-			if err != nil {
-				t.Fatalf("Resolve: %v", err)
-			}
-			if len(resolved) != addrs {
-				t.Fatalf("resolved %d addresses, want %d: %v", len(resolved), addrs, resolved)
-			}
-			records, err := final.HealthRecords()
-			if err != nil {
-				t.Fatalf("HealthRecords: %v", err)
-			}
-			if len(records) == 0 {
-				t.Fatal("no health records survived concurrent publication")
-			}
-		})
+	final := journalAt(t, dir)
+	resolved, err := final.Resolve("net")
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
+	}
+	if len(resolved) != addrs {
+		t.Fatalf("resolved %d addresses, want %d: %v", len(resolved), addrs, resolved)
+	}
+	records, err := final.HealthRecords()
+	if err != nil {
+		t.Fatalf("HealthRecords: %v", err)
+	}
+	if len(records) == 0 {
+		t.Fatal("no health records survived concurrent publication")
 	}
 }
 
@@ -282,88 +221,80 @@ func TestRegistryChaosConcurrentHealthPublishers(t *testing.T) {
 // see exactly K addresses on every single Resolve. A reader that caught a
 // half-written snapshot, or tailed a generation file past its rollover,
 // would observe fewer — the invariant the pointer-flip protocol exists to
-// protect. The flat file participates too: its atomic rename makes the
-// same promise under concurrent full rewrites.
+// protect.
 func TestRegistryChaosReaderNeverSeesPartialView(t *testing.T) {
-	for _, impl := range registryImpls() {
-		impl := impl
-		t.Run(impl.name, func(t *testing.T) {
-			dir := t.TempDir()
-			seed := impl.open(dir)
-			const members = 6
-			for i := 0; i < members; i++ {
-				if err := seed.Register("net", fmt.Sprintf("10.2.0.%d:9080", i)); err != nil {
-					t.Fatalf("seed Register: %v", err)
+	dir := t.TempDir()
+	seed := journalAt(t, dir)
+	const members = 6
+	for i := 0; i < members; i++ {
+		if err := seed.Register("net", fmt.Sprintf("10.2.0.%d:9080", i)); err != nil {
+			t.Fatalf("seed Register: %v", err)
+		}
+	}
+
+	const renewers = 4
+	const readers = 3
+	stop := make(chan struct{})
+	errs := make(chan error, renewers+readers+1)
+	var workers sync.WaitGroup
+	for i := 0; i < renewers; i++ {
+		workers.Add(1)
+		go func(i int) {
+			defer workers.Done()
+			reg := journalAt(t, dir)
+			for r := 0; ; r++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := reg.RegisterLease("net", fmt.Sprintf("10.2.0.%d:9080", r%members), time.Minute); err != nil {
+					errs <- fmt.Errorf("renewer %d: %w", i, err)
+					return
 				}
 			}
-
-			const renewers = 4
-			const readers = 3
-			stop := make(chan struct{})
-			errs := make(chan error, renewers+readers+1)
-			var workers sync.WaitGroup
-			for i := 0; i < renewers; i++ {
-				workers.Add(1)
-				go func(i int) {
-					defer workers.Done()
-					reg := impl.open(dir)
-					for r := 0; ; r++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						if err := reg.RegisterLease("net", fmt.Sprintf("10.2.0.%d:9080", r%members), time.Minute); err != nil {
-							errs <- fmt.Errorf("renewer %d: %w", i, err)
-							return
-						}
-					}
-				}(i)
+		}(i)
+	}
+	workers.Add(1)
+	go func() {
+		defer workers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-			if impl.compact != nil {
-				workers.Add(1)
-				go func() {
-					defer workers.Done()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						if err := impl.compact(dir); err != nil {
-							errs <- fmt.Errorf("compactor: %w", err)
-							return
-						}
-					}
-				}()
+			if err := journalAt(t, dir).Compact(); err != nil {
+				errs <- fmt.Errorf("compactor: %w", err)
+				return
 			}
-			var readerWG sync.WaitGroup
-			for i := 0; i < readers; i++ {
-				readerWG.Add(1)
-				go func(i int) {
-					defer readerWG.Done()
-					reg := impl.open(dir) // one tailing view per reader
-					for r := 0; r < 150; r++ {
-						addrs, err := reg.Resolve("net")
-						if err != nil {
-							errs <- fmt.Errorf("reader %d iteration %d: %w", i, r, err)
-							return
-						}
-						if len(addrs) != members {
-							errs <- fmt.Errorf("reader %d iteration %d: partial view — %d of %d addresses: %v",
-								i, r, len(addrs), members, addrs)
-							return
-						}
-					}
-				}(i)
+		}
+	}()
+	var readerWG sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		readerWG.Add(1)
+		go func(i int) {
+			defer readerWG.Done()
+			reg := journalAt(t, dir) // one tailing view per reader
+			for r := 0; r < 150; r++ {
+				addrs, err := reg.Resolve("net")
+				if err != nil {
+					errs <- fmt.Errorf("reader %d iteration %d: %w", i, r, err)
+					return
+				}
+				if len(addrs) != members {
+					errs <- fmt.Errorf("reader %d iteration %d: partial view — %d of %d addresses: %v",
+						i, r, len(addrs), members, addrs)
+					return
+				}
 			}
-			readerWG.Wait()
-			close(stop)
-			workers.Wait()
-			close(errs)
-			for err := range errs {
-				t.Error(err)
-			}
-		})
+		}(i)
+	}
+	readerWG.Wait()
+	close(stop)
+	workers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

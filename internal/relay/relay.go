@@ -70,7 +70,7 @@ func (r *StaticRegistry) Register(networkID string, addrs ...string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, addr := range addrs {
-		r.entries[networkID], _ = upsertLease(r.entries[networkID], addr, time.Time{})
+		r.entries[networkID] = upsertLease(r.entries[networkID], addr, time.Time{})
 	}
 }
 
@@ -84,7 +84,7 @@ func (r *StaticRegistry) RegisterLease(networkID, addr string, ttl time.Duration
 	if ttl > 0 {
 		expires = r.now().Add(ttl)
 	}
-	r.entries[networkID], _ = upsertLease(r.entries[networkID], addr, expires)
+	r.entries[networkID] = upsertLease(r.entries[networkID], addr, expires)
 	return nil
 }
 
