@@ -7,6 +7,9 @@
 // The suite asserts cross-process guarantees that the no-op flock fallback
 // on non-unix platforms cannot promise (see flock_other.go) — so it is
 // unix-only, like the guarantee. CI runs it -count=3 under -race.
+//
+// Each test runs its body as the "journal" subtest, the name the case has
+// carried since the suite ran one table row per registry implementation.
 //go:build unix
 
 package relay
@@ -29,6 +32,10 @@ import (
 // here routinely (two loads, two stores, last store wins); the journal
 // must hold the 0-lost bar with appends alone.
 func TestRegistryChaosConcurrentRegistrars(t *testing.T) {
+	t.Run("journal", registryChaosConcurrentRegistrars)
+}
+
+func registryChaosConcurrentRegistrars(t *testing.T) {
 	dir := t.TempDir()
 
 	// A decoy whose lease is already lapsed gives the concurrent
@@ -137,6 +144,10 @@ func TestRegistryChaosConcurrentRegistrars(t *testing.T) {
 // surviving entries without dropping either the registrations or each
 // other.
 func TestRegistryChaosConcurrentHealthPublishers(t *testing.T) {
+	t.Run("journal", registryChaosConcurrentHealthPublishers)
+}
+
+func registryChaosConcurrentHealthPublishers(t *testing.T) {
 	dir := t.TempDir()
 	seed := journalAt(t, dir)
 	const addrs = 4
@@ -223,6 +234,10 @@ func TestRegistryChaosConcurrentHealthPublishers(t *testing.T) {
 // would observe fewer — the invariant the pointer-flip protocol exists to
 // protect.
 func TestRegistryChaosReaderNeverSeesPartialView(t *testing.T) {
+	t.Run("journal", registryChaosReaderNeverSeesPartialView)
+}
+
+func registryChaosReaderNeverSeesPartialView(t *testing.T) {
 	dir := t.TempDir()
 	seed := journalAt(t, dir)
 	const members = 6
