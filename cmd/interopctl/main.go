@@ -151,11 +151,7 @@ func runQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	roots := make(map[string][]byte, len(cfg.Orgs))
-	for _, org := range cfg.Orgs {
-		roots[org.OrgID] = org.RootCertPEM
-	}
-	verifier, err := msp.NewVerifier(roots)
+	verifier, err := msp.NewVerifier(cfg.Roots())
 	if err != nil {
 		return err
 	}

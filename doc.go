@@ -142,6 +142,20 @@
 // through the application builders down to `interopctl loadgen
 // -pipelined -batch-size N -committers M`.
 //
+// Every certificate check is paid once per trust set. The membership
+// layer (internal/msp) memoizes three things in bounded tables: parsed
+// certificates keyed by the digest of their PEM bytes, one shared
+// msp.Verifier per root set keyed by a digest of its (organization, root)
+// pairs, and inside each Verifier the successful chain verifications keyed
+// by certificate digest, each with the window in which its whole chain is
+// valid. A Verifier's roots never change, so membership changes need no
+// invalidation event: AddOrg/RemoveOrg or a newly recorded network
+// configuration is a different root set, hence a different Verifier with
+// no verdicts. The clock is re-checked against the window on every hit,
+// failures are never stored, and the per-message ECDSA signatures —
+// endorsements, attestation metadata, Merkle roots, hop pins — are
+// verified on every call.
+//
 // The system is measurable under production-shaped load. `interopctl
 // loadgen` (internal/loadgen) builds a multi-relay TCP deployment, drives
 // concurrent clients through an open-loop arrival schedule — latency

@@ -396,11 +396,7 @@ func (c *Client) preVerify(q *wire.Query, bundle *proof.Bundle, policyExpr strin
 	if err != nil {
 		return fmt.Errorf("core: recorded config: %w", err)
 	}
-	roots := make(map[string][]byte, len(cfg.Orgs))
-	for _, org := range cfg.Orgs {
-		roots[org.OrgID] = org.RootCertPEM
-	}
-	verifier, err := msp.NewVerifier(roots)
+	verifier, err := msp.NewVerifier(cfg.Roots())
 	if err != nil {
 		return err
 	}

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/peer"
 	"repro/internal/relay"
 )
 
@@ -49,10 +50,13 @@ func Classify(err error) string {
 	switch {
 	case err == nil:
 		return ""
-	// A commit invalidated by a concurrent write reaches the requester as
-	// an application error string inside the response — the wire flattens
-	// the source relay's typed error, so the message is the only signal.
-	case strings.Contains(err.Error(), "tx invalidated"):
+	// A commit invalidated by a concurrent write, or endorsers that
+	// simulated against different versions of a hot key, reach the
+	// requester as an application error string inside the response — the
+	// wire flattens the source relay's typed error, so the message is the
+	// only signal.
+	case strings.Contains(err.Error(), "tx invalidated"),
+		strings.Contains(err.Error(), peer.ErrProposalMismatch.Error()):
 		return ErrClassContention
 	case errors.Is(err, relay.ErrUnreachable),
 		errors.Is(err, relay.ErrAllRelaysFailed),

@@ -137,6 +137,8 @@ func TestClassify(t *testing.T) {
 		{fmt.Errorf("read: %w", &net.OpError{Op: "read", Err: fmt.Errorf("connection reset")}), ErrClassAvailability},
 		// A write conflict arrives as a flattened application error string.
 		{fmt.Errorf("proof: remote error: relay: cross-network tx invalidated: mvcc-conflict"), ErrClassContention},
+		// Endorsers diverging on a hot key arrive flattened the same way.
+		{fmt.Errorf("proof: remote error: peer: endorsers produced divergent results"), ErrClassContention},
 		{fmt.Errorf("verification failed"), ErrClassProtocol},
 	}
 	for _, c := range cases {

@@ -200,11 +200,7 @@ func (n *Network) Authorize(requestingNetwork string, certPEM []byte, contract, 
 	if !ok {
 		return "", fmt.Errorf("%w: no recorded configuration for %q", ErrAccessDenied, requestingNetwork)
 	}
-	roots := make(map[string][]byte, len(cfg.Orgs))
-	for _, org := range cfg.Orgs {
-		roots[org.OrgID] = org.RootCertPEM
-	}
-	verifier, err := msp.NewVerifier(roots)
+	verifier, err := msp.NewVerifier(cfg.Roots())
 	if err != nil {
 		return "", err
 	}

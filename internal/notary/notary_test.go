@@ -149,11 +149,7 @@ func TestDriverQueryWithProof(t *testing.T) {
 	// Destination-side validation with the notary network's exported
 	// config: the same proof.Verify machinery used for Fabric sources.
 	exported := n.ExportConfig()
-	roots := make(map[string][]byte)
-	for _, org := range exported.Orgs {
-		roots[org.OrgID] = org.RootCertPEM
-	}
-	verifier, err := msp.NewVerifier(roots)
+	verifier, err := msp.NewVerifier(exported.Roots())
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}

@@ -209,11 +209,7 @@ func TestCrossNetworkQueryEndToEnd(t *testing.T) {
 		t.Fatalf("result = %q", bundle.Result)
 	}
 	srcCfg := src.net.ExportConfig()
-	roots := make(map[string][]byte)
-	for _, o := range srcCfg.Orgs {
-		roots[o.OrgID] = o.RootCertPEM
-	}
-	verifier, err := msp.NewVerifier(roots)
+	verifier, err := msp.NewVerifier(srcCfg.Roots())
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}

@@ -249,9 +249,5 @@ func verifierFromConfig(cfgBytes []byte) (*msp.Verifier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("syscc: recorded network config: %w", err)
 	}
-	roots := make(map[string][]byte, len(cfg.Orgs))
-	for _, org := range cfg.Orgs {
-		roots[org.OrgID] = org.RootCertPEM
-	}
-	return msp.NewVerifier(roots)
+	return msp.NewVerifier(cfg.Roots())
 }

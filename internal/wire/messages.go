@@ -713,6 +713,16 @@ type NetworkConfig struct {
 	Orgs      []OrgConfig
 }
 
+// Roots returns each organization's root certificate PEM keyed by
+// organization ID, the form msp.NewVerifier takes.
+func (m *NetworkConfig) Roots() map[string][]byte {
+	roots := make(map[string][]byte, len(m.Orgs))
+	for _, org := range m.Orgs {
+		roots[org.OrgID] = org.RootCertPEM
+	}
+	return roots
+}
+
 // Marshal encodes the network config.
 func (m *NetworkConfig) Marshal() []byte {
 	e := NewEncoder(256)

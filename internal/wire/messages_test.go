@@ -260,6 +260,10 @@ func TestNetworkConfigRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(c, got) {
 		t.Fatalf("round-trip mismatch: %+v", got)
 	}
+	want := map[string][]byte{"seller-org": []byte("root1"), "carrier-org": []byte("root2")}
+	if roots := got.Roots(); !reflect.DeepEqual(roots, want) {
+		t.Fatalf("Roots = %q, want %q", roots, want)
+	}
 }
 
 func TestEventRoundTrip(t *testing.T) {
