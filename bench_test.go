@@ -443,8 +443,11 @@ func BenchmarkE8BatchedAttestation(b *testing.B) {
 //     where every burst after the first seals under cached secrets and
 //     ECDH per query goes to ~0.
 //
-// ecdh/query and signs/query are measured from the relay's own crypto-op
-// counters, not modeled.
+// ecdh/query and signs/query are measured from the source relay's own
+// crypto-op counters, not modeled. open-ecdh/query is the requester's
+// side, read from cryptoutil.SessionOpenAgreements: the agreements its
+// SessionDecrypt ran. It is reported for the session modes only; a
+// classic envelope always costs the requester one agreement.
 func BenchmarkE9SessionedECIES(b *testing.B) {
 	w, actors := tradeWorld(b)
 	client := actors.SWTSeller.Client()
@@ -484,6 +487,7 @@ func BenchmarkE9SessionedECIES(b *testing.B) {
 					runBurst()
 				}
 				before := w.STL.Relay.Stats()
+				opensBefore := cryptoutil.SessionOpenAgreements()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -499,6 +503,10 @@ func BenchmarkE9SessionedECIES(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/query")
 				b.ReportMetric(float64(ops.ECDHOps)/float64(b.N*width), "ecdh/query")
 				b.ReportMetric(float64(ops.SignOps)/float64(b.N*width), "signs/query")
+				if mode != "classic" {
+					opens := cryptoutil.SessionOpenAgreements() - opensBefore
+					b.ReportMetric(float64(opens)/float64(b.N*width), "open-ecdh/query")
+				}
 			})
 		}
 	}

@@ -99,11 +99,19 @@
 // agreement per requester certificate, a per-query AEAD key derived via
 // HKDF bound to the generation and query digest, and the session point
 // carried in explicit wire fields (Attestation.SessionEphemeral) — warm
-// pollers pay zero scalar multiplications per query, legacy requesters
-// keep byte-identical classic ECIES, and the driver's leaf-addressed
-// element records let a repeated question join an earlier batch's proof,
-// reusing every signature. relay.Stats.ECDHOps/SignOps/EncryptOps count
-// the expensive primitives fleet-wide.
+// pollers cost the source zero scalar multiplications per query, legacy
+// requesters keep byte-identical classic ECIES, and the driver's
+// leaf-addressed element records let a repeated question join an earlier
+// batch's proof, reusing every signature. The requester's half is
+// memoized as well: every envelope of a response carries the same session
+// point, so cryptoutil.SessionDecrypt agrees once per (private scalar,
+// session point) in a bounded process-wide table and reuses the secret
+// for at most cryptoutil.DefaultSessionTTL. It is keyed by the private
+// scalar, not the public key, because the agreement depends on the scalar
+// alone; only successful agreements are stored, and HKDF and AES-GCM still
+// run on every envelope. relay.Stats.ECDHOps/SignOps/EncryptOps count the
+// expensive primitives fleet-wide, cryptoutil.SessionOpenAgreements the
+// requester's agreements.
 //
 // Topologies are transitive: a relay with forwarding enabled
 // (relay.EnableForwarding) serves queries and invokes for networks it has

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cryptoutil"
 	"repro/internal/wire"
 )
 
@@ -46,6 +47,48 @@ func TestSessionedECDHAmortizedAcrossQueries(t *testing.T) {
 	}
 	if encrypt != queries*3 {
 		t.Fatalf("envelope seals = %d, want %d", encrypt, queries*3)
+	}
+}
+
+// TestSessionedWarmClientOpensWithoutAgreements is the requester half of
+// the amortization: every envelope of a sessioned response carries its
+// manager's session point, so once a client has opened one response, a
+// second 2-attestor response (result + two metadata envelopes) opens with
+// zero requester-side ECDH agreements.
+func TestSessionedWarmClientOpensWithoutAgreements(t *testing.T) {
+	w := buildWorld(t)
+	for _, id := range []string{"bl-open-1", "bl-open-2"} {
+		if _, err := w.srcAdmin.Submit("sourceCC", "Put", []byte(id), []byte("doc")); err != nil {
+			t.Fatalf("Put %s: %v", id, err)
+		}
+	}
+	client, err := NewClient(w.dest, "seller-bank-org", "warm-opener")
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	query := func(id string) *RemoteData {
+		t.Helper()
+		data, err := client.RemoteQuery(context.Background(), RemoteQuerySpec{
+			Network: "source-net", Contract: "sourceCC", Function: "Get",
+			Args: [][]byte{[]byte(id)},
+		})
+		if err != nil {
+			t.Fatalf("RemoteQuery %s: %v", id, err)
+		}
+		return data
+	}
+	before := cryptoutil.SessionOpenAgreements()
+	query("bl-open-1")
+	if cold := cryptoutil.SessionOpenAgreements() - before; cold != 3 {
+		t.Fatalf("cold client ran %d agreements, want 3 (one per session point)", cold)
+	}
+	before = cryptoutil.SessionOpenAgreements()
+	data := query("bl-open-2")
+	if n := len(data.Bundle.Elements); n != 2 {
+		t.Fatalf("response carries %d attestations, want 2", n)
+	}
+	if warm := cryptoutil.SessionOpenAgreements() - before; warm != 0 {
+		t.Fatalf("warm client ran %d agreements opening a 2-attestor response, want 0", warm)
 	}
 }
 

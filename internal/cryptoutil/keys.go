@@ -7,7 +7,8 @@
 // per-envelope scheme (Encrypt/Decrypt, one ephemeral keygen + ECDH per
 // envelope) and a sessioned mode (SessionManager/SessionDecrypt) that
 // amortizes the expensive scalar multiplications — one ephemeral key per
-// TTL generation, one cached agreement per requester, and a fresh
+// TTL generation, one cached agreement per requester on the source and one
+// memoized agreement per session point on the requester, and a fresh
 // domain-separated AEAD key per query so confidentiality stays per-query.
 // OpCounter tallies ECDH/sign/encrypt operations for both regimes.
 package cryptoutil

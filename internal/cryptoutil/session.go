@@ -219,24 +219,17 @@ func (k *SessionKey) Seal(context, plaintext []byte) ([]byte, error) {
 
 // SessionDecrypt opens a sessioned envelope produced by SessionKey.Seal:
 // the recipient runs its half of the ECDH agreement against the session
-// ephemeral point, re-derives the per-query AEAD key from the generation
-// and context, and opens the nonce||ciphertext envelope. Any malformed
-// input yields ErrDecrypt.
+// ephemeral point (memoized per private scalar and point, see
+// openSecrets), re-derives the per-query AEAD key from the generation and
+// context, and opens the nonce||ciphertext envelope. Any malformed input
+// yields ErrDecrypt.
 func SessionDecrypt(priv *ecdsa.PrivateKey, ephemeral []byte, generation uint64, context, ciphertext []byte) ([]byte, error) {
 	if priv == nil {
 		return nil, ErrInvalidKey
 	}
-	recipient, err := priv.ECDH()
+	secret, err := sessionSecret(priv, ephemeral)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidKey, err)
-	}
-	point, err := ecdh.P256().NewPublicKey(ephemeral)
-	if err != nil {
-		return nil, fmt.Errorf("%w: bad session ephemeral point", ErrDecrypt)
-	}
-	secret, err := recipient.ECDH(point)
-	if err != nil {
-		return nil, fmt.Errorf("%w: session ecdh agreement", ErrDecrypt)
+		return nil, err
 	}
 	aead, err := sessionAEAD(secret, ephemeral, generation, context)
 	if err != nil {

@@ -57,23 +57,60 @@ func (r *Relay) stampDeadline(ctx context.Context, env *wire.Envelope) {
 
 // sendFanout delivers env to the first responsive relay among addrs. With
 // hedging configured and more than one address available it races
-// attempts; otherwise it fails over sequentially.
+// attempts; otherwise it fails over sequentially. When every attempt of a
+// pass failed for want of an available relay, it re-resolves network and
+// makes exactly one more pass: a replica set mid-churn — one replica back
+// from a restart just after it refused, another killed just as it was
+// reached — can fail every address once and serve on the next try.
+// Queries are idempotent, so the second pass is safe; invokes never take
+// this path (sendAtMostOnce).
 func (r *Relay) sendFanout(ctx context.Context, network string, addrs []string, env *wire.Envelope) (*wire.Envelope, error) {
-	if r.hedge == nil || len(addrs) < 2 {
-		return r.sendSequential(ctx, network, addrs, env)
+	reply, failed, err := r.fanoutPass(ctx, addrs, env)
+	if reply == nil && err == nil && ctx.Err() == nil && unavailableOnly(failed) {
+		if fresh, rerr := r.resolveOrdered(network); rerr == nil {
+			addrs = fresh
+		}
+		var again []relayAttempt
+		reply, again, err = r.fanoutPass(ctx, addrs, env)
+		failed = append(failed, again...)
 	}
-	return r.sendHedged(ctx, network, addrs, env)
+	if reply != nil || err != nil {
+		return reply, err
+	}
+	return nil, r.allRelaysFailed(ctx, network, failed)
+}
+
+// fanoutPass makes one pass over addrs: hedged when hedging is configured
+// and more than one address is available, sequential otherwise.
+func (r *Relay) fanoutPass(ctx context.Context, addrs []string, env *wire.Envelope) (*wire.Envelope, []relayAttempt, error) {
+	if r.hedge == nil || len(addrs) < 2 {
+		return r.sendSequential(ctx, addrs, env)
+	}
+	return r.sendHedged(ctx, addrs, env)
+}
+
+// unavailableOnly reports whether every failed attempt says only that its
+// relay was unavailable (refused, reset, closed) rather than that the
+// request's budget ran out, which a second pass could not change.
+func unavailableOnly(failed []relayAttempt) bool {
+	for _, a := range failed {
+		if errors.Is(a.err, context.DeadlineExceeded) || errors.Is(a.err, context.Canceled) {
+			return false
+		}
+	}
+	return len(failed) > 0
 }
 
 // sendSequential tries each address in order, failing over on transport
 // errors, and stops early once ctx is done. Callers pass health-ordered
 // addresses, so the failover order is live-and-fast first with circuit-open
-// addresses as last resort.
-func (r *Relay) sendSequential(ctx context.Context, network string, addrs []string, env *wire.Envelope) (*wire.Envelope, error) {
+// addresses as last resort. It returns the first reply, or ctx's error, or
+// — when every address failed — the failed attempts.
+func (r *Relay) sendSequential(ctx context.Context, addrs []string, env *wire.Envelope) (*wire.Envelope, []relayAttempt, error) {
 	var failed []relayAttempt
 	for _, addr := range addrs {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		r.stampDeadline(ctx, env) // per attempt: the relative budget decays
 		r.countFanoutAttempt()
@@ -82,16 +119,17 @@ func (r *Relay) sendSequential(ctx context.Context, network string, addrs []stri
 			failed = append(failed, relayAttempt{addr, err})
 			continue // fail over to the next relay address
 		}
-		return reply, nil
+		return reply, nil, nil
 	}
-	return nil, r.allRelaysFailed(ctx, network, failed)
+	return nil, failed, nil
 }
 
 // sendHedged races attempts across addrs: the first address is tried
 // immediately, the next one after the hedge delay (or immediately when an
 // attempt fails), up to MaxParallel outstanding at once. The first reply
-// wins; losers are cancelled through the shared attempt context.
-func (r *Relay) sendHedged(ctx context.Context, network string, addrs []string, env *wire.Envelope) (*wire.Envelope, error) {
+// wins; losers are cancelled through the shared attempt context. Results
+// are returned as sendSequential returns them.
+func (r *Relay) sendHedged(ctx context.Context, addrs []string, env *wire.Envelope) (*wire.Envelope, []relayAttempt, error) {
 	hedgeDelay := r.hedge.Delay
 	if hedgeDelay <= 0 {
 		hedgeDelay = 50 * time.Millisecond
@@ -139,12 +177,6 @@ func (r *Relay) sendHedged(ctx context.Context, network string, addrs []string, 
 	// availability loss. Error replies are held as the fallback outcome
 	// while real responses are still possible.
 	var errorReply *wire.Envelope
-	exhausted := func() (*wire.Envelope, error) {
-		if errorReply != nil {
-			return errorReply, nil
-		}
-		return nil, r.allRelaysFailed(ctx, network, failed)
-	}
 	for {
 		var hedgeC <-chan time.Time
 		if next < len(addrs) && inflight < maxParallel {
@@ -155,9 +187,9 @@ func (r *Relay) sendHedged(ctx context.Context, network string, addrs []string, 
 			if errorReply != nil {
 				// Surface the diagnostic the relay already gave us rather
 				// than a bare deadline error.
-				return errorReply, nil
+				return errorReply, nil, nil
 			}
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		case <-hedgeC:
 			launch()
 			timer.Reset(hedgeDelay)
@@ -168,7 +200,7 @@ func (r *Relay) sendHedged(ctx context.Context, network string, addrs []string, 
 					r.countHedgedWin()
 				}
 				r.countHedgedLosses(inflight)
-				return out.reply, nil
+				return out.reply, nil, nil
 			}
 			if out.err != nil {
 				failed = append(failed, relayAttempt{addrs[out.index], out.err})
@@ -187,7 +219,10 @@ func (r *Relay) sendHedged(ctx context.Context, network string, addrs []string, 
 				}
 				timer.Reset(hedgeDelay)
 			} else if inflight == 0 && next == len(addrs) {
-				return exhausted()
+				if errorReply != nil {
+					return errorReply, nil, nil
+				}
+				return nil, failed, nil
 			}
 		}
 	}
